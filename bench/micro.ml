@@ -69,6 +69,21 @@ let t_remanence =
   Test.make ~name:"table2/power-cycle-2MB"
     (Staged.stage (fun () -> Dram.power_cycle (Machine.dram machine) ~off_s:0.5))
 
+(* Table 3 / cold boot: the decay-tolerant secret search over a decayed
+   8 MB image that does not hold the secret -- every post-lock round's
+   case, so the scan visits every offset *)
+let t_fuzzy_scan =
+  let machine = Machine.create (Machine.nexus4 ~dram_size:(8 * Units.mib) ()) in
+  let dram = Machine.dram machine in
+  Bytes_util.fill_pattern (Dram.raw dram) (Bytes.of_string "PATTERNZ");
+  Dram.set_powered dram false;
+  Dram.power_cycle dram ~off_s:2.0;
+  let image = Sentry_attacks.Memdump.of_bytes ~label:"bench" ~base:0 (Dram.raw dram) in
+  let secret = Bytes.of_string "sentry-bench-secret-0123456789abcd" in
+  Test.make ~name:"table3/cold-boot-fuzzy-scan-8MB"
+    (Staged.stage (fun () ->
+         ignore (Sentry_attacks.Memdump.contains_fuzzy image secret ~min_match:0.85)))
+
 (* Figs 2-5: per-page lock-path encryption *)
 let t_page_encrypt =
   let system = Sentry_core.System.boot `Tegra3 ~seed:1 in
@@ -135,6 +150,7 @@ let tests =
     t_l2_hit;
     t_l2_miss;
     t_remanence;
+    t_fuzzy_scan;
     t_page_encrypt;
     t_dmcrypt;
     t_keyscan;

@@ -17,21 +17,26 @@ let find t needle =
 (** [contains_fuzzy t needle ~min_match] finds [needle] tolerating
     bit-decayed bytes: some alignment where at least [min_match]
     (fraction) of the bytes agree.  Real cold-boot tooling
-    error-corrects recovered data the same way. *)
+    error-corrects recovered data the same way.  An alignment is
+    abandoned as soon as its mismatches rule out [min_match], so most
+    offsets cost a few compares instead of one per needle byte; the
+    answer is the one a full count at every offset gives. *)
 let contains_fuzzy t needle ~min_match =
-  let nn = Bytes.length needle and n = Bytes.length t.data in
+  let nn = Bytes.length needle and data = t.data in
   let needed = int_of_float (ceil (min_match *. float_of_int nn)) in
-  let rec scan i =
-    if i + nn > n then false
-    else begin
-      let matches = ref 0 in
-      for j = 0 to nn - 1 do
-        if Bytes.unsafe_get t.data (i + j) = Bytes.unsafe_get needle j then incr matches
-      done;
-      if !matches >= needed then true else scan (i + 1)
-    end
-  in
-  nn > 0 && scan 0
+  let last = Bytes.length data - nn in
+  let found = ref false and i = ref 0 in
+  while (not !found) && !i <= last do
+    (* [best]: the most matches alignment [i] can still reach *)
+    let j = ref 0 and best = ref nn in
+    while !best >= needed && !j < nn do
+      if Bytes.unsafe_get data (!i + !j) <> Bytes.unsafe_get needle !j then decr best;
+      incr j
+    done;
+    found := !best >= needed;
+    incr i
+  done;
+  nn > 0 && !found
 
 (** Fraction of pattern-aligned slots still holding [pattern] — the
     Table 2 remanence metric. *)

@@ -131,11 +131,43 @@ let raw t = t.data
 
 let snapshot t = Bytes.copy t.data
 
+(* Remanence is drawn a chunk at a time into a survival mask, then
+   blended into the cells a word at a time, without a branch per
+   byte.  Chunks start on a row boundary, so each aligned 8-byte word
+   lies in one 64-byte row. *)
+let decay_chunk = 4096
+
+(* [blend_decay buf pos keep len ~even ~odd] sets [buf.[pos + i]] to
+   the ground byte of its 64-byte row ([even] or [odd] by row parity)
+   wherever [keep.[i]] is ['\x00'] (a decayed cell) and leaves it where
+   [keep.[i]] is ['\xff'] (a surviving one).  [pos] is a multiple of 8. *)
+let blend_decay buf pos keep len ~even ~odd =
+  let word b = Int64.mul 0x0101010101010101L (Int64.of_int b) in
+  let even_w = word even and odd_w = word odd in
+  let words = len lsr 3 in
+  for w = 0 to words - 1 do
+    let i = w lsl 3 in
+    let k = Bytes.get_int64_ne keep i in
+    let ground = if ((pos + i) lsr 6) land 1 = 0 then even_w else odd_w in
+    let v = Bytes.get_int64_ne buf (pos + i) in
+    Bytes.set_int64_ne buf (pos + i) Int64.(logor (logand v k) (logand ground (lognot k)))
+  done;
+  for i = words lsl 3 to len - 1 do
+    let k = Char.code (Bytes.unsafe_get keep i) in
+    let ground = if ((pos + i) lsr 6) land 1 = 0 then even else odd in
+    let v = Char.code (Bytes.unsafe_get buf (pos + i)) in
+    Bytes.unsafe_set buf (pos + i) (Char.unsafe_chr ((v land k) lor (ground land lnot k)))
+  done
+
+let public_label = Char.code (Taint.to_char Taint.Public)
+
 (** [power_cycle t ~off_s] models removing power for [off_s] seconds.
     Each byte independently survives with the Table 2-calibrated
     probability; decayed bytes fall to the DRAM ground state (0x00 or
     0xFF depending on cell polarity — we model half and half, decided
-    per 64-byte row, as real modules ground alternate rows). *)
+    per 64-byte row, as real modules ground alternate rows).  The
+    survival draws are [Prng.flips_into], so they and the PRNG state
+    left behind are exactly those of one [Prng.flip] per byte. *)
 let power_cycle t ~off_s =
   if t.powered then
     invalid_arg "Dram.power_cycle: still powered (cells decay only without self-refresh)";
@@ -145,13 +177,17 @@ let power_cycle t ~off_s =
       ~args:[ ("off_s", Sentry_obs.Event.Float off_s); ("survival_p", Sentry_obs.Event.Float p) ];
   if p < 1.0 then begin
     let n = Bytes.length t.data in
-    let row_ground row = if row land 1 = 0 then '\x00' else '\xff' in
-    for i = 0 to n - 1 do
-      if not (Prng.flip t.prng ~p) then begin
-        Bytes.unsafe_set t.data i (row_ground (i lsr 6));
-        (* a decayed cell holds the ground state, not the secret *)
-        match t.shadow with Some s -> Taint.set s i Taint.Public | None -> ()
-      end
+    let keep = Bytes.create decay_chunk in
+    let pos = ref 0 in
+    while !pos < n do
+      let len = Int.min decay_chunk (n - !pos) in
+      Prng.flips_into t.prng ~p keep ~off:0 ~len;
+      blend_decay t.data !pos keep len ~even:0x00 ~odd:0xff;
+      (* a decayed cell holds the ground state, not the secret *)
+      (match t.shadow with
+      | Some s -> blend_decay s !pos keep len ~even:public_label ~odd:public_label
+      | None -> ());
+      pos := !pos + len
     done
   end
 

@@ -60,7 +60,6 @@ let max_range shadow pos len =
   !acc
 
 let get shadow pos = of_char (Bytes.get shadow pos)
-let set shadow pos level = Bytes.set shadow pos (to_char level)
 
 (** [runs_at_least shadow ~level ~len] — is there a contiguous run of
     at least [len] bytes labelled [>= level]?  Used by checkers that

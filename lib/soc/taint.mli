@@ -29,7 +29,6 @@ val fill : Bytes.t -> int -> int -> level -> unit
 val max_range : Bytes.t -> int -> int -> level
 
 val get : Bytes.t -> int -> level
-val set : Bytes.t -> int -> level -> unit
 
 (** [runs_at_least shadow ~level ~len] — does a contiguous run of at
     least [len] bytes labelled [>= level] exist? *)

@@ -4,21 +4,35 @@
     traces, key generation) draws from an explicit [t] so that every
     experiment is reproducible from its seed. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state, kept unboxed in eight bytes: storing a new state
+   allocates nothing, where a [mutable int64] field boxes every store. *)
+type t = Bytes.t
 
-let create ~seed = { state = Int64.of_int seed }
+let[@inline] get t = Bytes.get_int64_ne t 0
+let[@inline] set t s = Bytes.set_int64_ne t 0 s
 
-let copy t = { state = t.state }
+let create ~seed =
+  let t = Bytes.create 8 in
+  set t (Int64.of_int seed);
+  t
 
-(* splitmix64 step: the golden-gamma increment followed by two
-   xor-shift-multiply mixing rounds. *)
-let next_int64 t =
+let copy = Bytes.copy
+
+let gamma = 0x9E3779B97F4A7C15L
+
+(* splitmix64 output function: two xor-shift-multiply mixing rounds
+   and a final xor-shift over the advanced state. *)
+let[@inline] mix z =
   let open Int64 in
-  t.state <- add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
+
+(* splitmix64 step: the golden-gamma increment, then [mix]. *)
+let[@inline] next_int64 t =
+  let s = Int64.add (get t) gamma in
+  set t s;
+  mix s
 
 (** [bits t] returns 62 non-negative random bits. *)
 let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
@@ -28,14 +42,42 @@ let int t bound =
   assert (bound > 0);
   bits t mod bound
 
+let two53 = 9007199254740992.0
+
+(* The top 53 bits of a draw, as an exact float integer in [0, 2^53).
+   They fit a native int, whose conversion to float is inline (the
+   [Int64.to_float] primitive is a C call). *)
+let[@inline] draw53 z = Float.of_int (Int64.to_int (Int64.shift_right_logical z 11))
+
 (** [float t bound] is uniform in [0, bound). *)
-let float t bound =
-  let max53 = 9007199254740992.0 (* 2^53 *) in
-  let x = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
-  x /. max53 *. bound
+let float t bound = draw53 (next_int64 t) /. two53 *. bound
+
+(* The one Bernoulli test, shared by [flip] and [flips_into].  A draw
+   succeeds when [float t 1.0 < p], i.e. [x /. 2^53 < p] for the 53-bit
+   integer [x].  That holds exactly when [x < p *. 2^53]: scaling by a
+   power of two is exact on both sides (the quotient needs no rounding,
+   the product cannot land in the subnormal range), so comparing
+   against the precomputed threshold makes the same decision for every
+   [p], NaN and out-of-range values included, without a division. *)
+let[@inline] threshold p = p *. two53
 
 (** Bernoulli draw with success probability [p]. *)
-let flip t ~p = float t 1.0 < p
+let flip t ~p = draw53 (next_int64 t) < threshold p
+
+(** [flips_into t ~p mask ~off ~len] makes [len] successive [flip t ~p]
+    draws into [mask] (['\xff'] success, ['\x00'] failure).  The state
+    lives unboxed in a local for the loop and is stored once. *)
+let flips_into t ~p mask ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length mask - len then invalid_arg "Prng.flips_into";
+  let thr = threshold p in
+  let s = ref (get t) in
+  for i = off to off + len - 1 do
+    s := Int64.add !s gamma;
+    (* -1 or 0 from the comparison, no branch *)
+    let hit = - Bool.to_int (draw53 (mix !s) < thr) in
+    Bytes.unsafe_set mask i (Char.unsafe_chr (hit land 0xff))
+  done;
+  set t !s
 
 (** [byte t] is uniform in [0, 256). *)
 let byte t = int t 256

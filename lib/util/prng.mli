@@ -20,6 +20,13 @@ val float : t -> float -> float
 (** Bernoulli draw with success probability [p]. *)
 val flip : t -> p:float -> bool
 
+(** [flips_into t ~p mask ~off ~len] makes [len] successive [flip t ~p]
+    draws without allocating: byte [off + i] of [mask] becomes
+    ['\xff'] when draw [i] succeeds and ['\x00'] when it fails.  The
+    decisions and the final state are exactly those of [len] calls to
+    [flip].  Raises [Invalid_argument] if the range is outside [mask]. *)
+val flips_into : t -> p:float -> Bytes.t -> off:int -> len:int -> unit
+
 val byte : t -> int
 val bytes : t -> int -> Bytes.t
 

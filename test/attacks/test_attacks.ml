@@ -35,6 +35,78 @@ let test_memdump_remanence_ratio () =
   Alcotest.(check (float 1e-9)) "9/10" 0.9
     (Memdump.remanence_ratio d ~pattern:(Bytes.of_string "PATTERNZ"))
 
+(* The full count the early-exit scan replaced, kept as the oracle:
+   score every alignment over every needle byte. *)
+let fuzzy_reference data needle ~min_match =
+  let nn = Bytes.length needle and n = Bytes.length data in
+  let needed = int_of_float (ceil (min_match *. float_of_int nn)) in
+  let found = ref false in
+  for i = 0 to n - nn do
+    let matches = ref 0 in
+    for j = 0 to nn - 1 do
+      if Bytes.get data (i + j) = Bytes.get needle j then incr matches
+    done;
+    if !matches >= needed then found := true
+  done;
+  nn > 0 && !found
+
+(* Small alphabets make partial matches common; short images against
+   longer needles cover [nn > n]; empty needles and images come up
+   too.  Half the cases plant a copy of the needle with a few bytes
+   changed, so long needles get near misses and hits as well. *)
+let fuzzy_case =
+  let open QCheck.Gen in
+  let* k = int_range 1 4 in
+  let ch = map (fun i -> Char.chr (Char.code 'a' + i)) (int_bound (k - 1)) in
+  let* data = bytes_size ~gen:ch (int_range 0 48) in
+  let* needle = bytes_size ~gen:ch (int_range 0 16) in
+  let* min_match = oneofl [ 0.0; 0.5; 0.85; 1.0 ] in
+  let nn = Bytes.length needle and n = Bytes.length data in
+  let* plant = bool in
+  if plant && nn > 0 && nn <= n then
+    let* at = int_bound (n - nn) in
+    let* edits = list_size (int_bound 3) (pair (int_bound (nn - 1)) ch) in
+    Bytes.blit needle 0 data at nn;
+    List.iter (fun (j, c) -> Bytes.set data (at + j) c) edits;
+    return (data, needle, min_match)
+  else return (data, needle, min_match)
+
+let qcheck_tests =
+  let print (data, needle, min_match) =
+    Printf.sprintf "data %S needle %S min_match %g" (Bytes.to_string data)
+      (Bytes.to_string needle) min_match
+  in
+  [
+    QCheck.Test.make ~name:"contains_fuzzy = full count" ~count:3000
+      (QCheck.make ~print fuzzy_case)
+      (fun (data, needle, min_match) ->
+        let img = Memdump.of_bytes ~label:"q" ~base:0 data in
+        Memdump.contains_fuzzy img needle ~min_match = fuzzy_reference data needle ~min_match);
+  ]
+
+let test_memdump_fuzzy_edges () =
+  let d = Memdump.of_bytes ~label:"t" ~base:0 (Bytes.of_string "abcab") in
+  checkb "empty needle" false (Memdump.contains_fuzzy d Bytes.empty ~min_match:0.0);
+  checkb "needle longer than image" false
+    (Memdump.contains_fuzzy d (Bytes.of_string "abcabc") ~min_match:0.0);
+  checkb "any alignment at 0%" true (Memdump.contains_fuzzy d (Bytes.of_string "zzz") ~min_match:0.0);
+  checkb "unreachable above 100%" false
+    (Memdump.contains_fuzzy d (Bytes.of_string "abc") ~min_match:1.5);
+  checkb "last alignment" true (Memdump.contains_fuzzy d (Bytes.of_string "cab") ~min_match:1.0)
+
+(* Hard allocation gate: a no-hit scan over 1 MiB (what every
+   cold-boot round after a lock does) runs in constant space. *)
+let test_memdump_fuzzy_allocation_ceiling () =
+  let prng = Prng.create ~seed:12 in
+  let img = Memdump.of_bytes ~label:"t" ~base:0 (Prng.bytes prng Units.mib) in
+  let needle = Bytes.of_string "SENTRY-TEST-SECRET-0123456789abcde" in
+  let mw0 = Gc.minor_words () in
+  let hit = Memdump.contains_fuzzy img needle ~min_match:0.85 in
+  let words = Gc.minor_words () -. mw0 in
+  checkb "no hit" false hit;
+  if words > 1024.0 then
+    Alcotest.failf "1 MiB fuzzy scan allocated %.0f minor words (ceiling 1024)" words
+
 (* ---------------------------- Key_finder -------------------------- *)
 
 let test_key_finder_multiple_keys () =
@@ -382,6 +454,8 @@ let () =
         [
           Alcotest.test_case "search" `Quick test_memdump_search;
           Alcotest.test_case "fuzzy" `Quick test_memdump_fuzzy;
+          Alcotest.test_case "fuzzy edges" `Quick test_memdump_fuzzy_edges;
+          Alcotest.test_case "fuzzy scan ceiling" `Quick test_memdump_fuzzy_allocation_ceiling;
           Alcotest.test_case "remanence ratio" `Quick test_memdump_remanence_ratio;
         ] );
       ( "key_finder",
@@ -428,4 +502,5 @@ let () =
             test_background_device_resists_dma_mid_computation;
           Alcotest.test_case "unlocked is fair game" `Quick test_unlocked_device_is_fair_game;
         ] );
+      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

@@ -143,6 +143,70 @@ let test_warm_path_allocation_ceiling () =
   if per_page > 64.0 then
     Alcotest.failf "warm 4 KB access allocated %.1f minor words (ceiling 64)" per_page
 
+(* ------------------------- remanence draw ------------------------ *)
+
+(* The per-byte decay loop [Dram.power_cycle] ran before the bulk
+   draw, kept here as the oracle: one [Prng.flip] per byte, a decayed
+   byte falls to its row's ground state and its label to [Public]. *)
+let reference_power_cycle ~prng ~p data shadow =
+  for i = 0 to Bytes.length data - 1 do
+    if not (Prng.flip prng ~p) then begin
+      Bytes.set data i (if (i lsr 6) land 1 = 0 then '\x00' else '\xff');
+      Bytes.set shadow i (Taint.to_char Taint.Public)
+    end
+  done
+
+(* A DRAM of [size] bytes holding seeded random data, with every
+   label somewhere in its shadow; [prng] is the one it decays with. *)
+let tainted_dram ~size ~prng =
+  let clock = Clock.create () in
+  let bus = Bus.create ~clock ~energy:(Energy.create ()) in
+  let dram = Dram.create ~bus ~clock ~prng ~size in
+  Dram.enable_taint dram;
+  let fill = Prng.create ~seed:size in
+  Bytes.blit (Prng.bytes fill size) 0 (Dram.raw dram) 0 size;
+  let base = (Dram.region dram).Memmap.base in
+  Dram.set_taint dram (base + 100) (size / 3) Taint.Secret_cleartext;
+  Dram.set_taint dram (base + (size / 2)) (size / 4) Taint.Ciphertext;
+  Dram.set_powered dram false;
+  dram
+
+let test_power_cycle_matches_reference () =
+  (* sizes off the 4 KiB draw chunk and the 64-byte row exercise the
+     partial last chunk and a partial row *)
+  List.iter
+    (fun (size, off_s) ->
+      let seed = 17 + size in
+      let prng = Prng.create ~seed in
+      let dram = tainted_dram ~size ~prng in
+      let p = Calib.dram_survival ~power_off_s:off_s in
+      let ref_prng = Prng.create ~seed in
+      let ref_data = Bytes.copy (Dram.raw dram) in
+      let ref_shadow = Bytes.copy (Option.get (Dram.shadow dram)) in
+      Dram.power_cycle dram ~off_s;
+      reference_power_cycle ~prng:ref_prng ~p ref_data ref_shadow;
+      let what = Printf.sprintf "%d B after %.1f s" size off_s in
+      check_bytes (what ^ ": bytes") ref_data (Dram.raw dram);
+      check_bytes (what ^ ": shadow") ref_shadow (Option.get (Dram.shadow dram));
+      Alcotest.(check int64)
+        (what ^ ": next draw") (Prng.next_int64 ref_prng) (Prng.next_int64 prng))
+    [ (Units.mib, 2.0); ((3 * 4096) + 100, 0.5); (4096 + 37, 10.0); (8191, 30.0) ]
+
+(* Hard allocation gates on the cold-boot path: the bulk draw keeps
+   its state unboxed, so a power cycle allocates a constant few words
+   (its draw mask goes to the major heap), not boxes per byte.  The
+   per-byte draw allocated several words per byte. *)
+let test_power_cycle_allocation_ceiling () =
+  let m = mk () in
+  Machine.enable_taint m;
+  let dram = Machine.dram m in
+  Dram.set_powered dram false;
+  let mw0 = Gc.minor_words () in
+  Dram.power_cycle dram ~off_s:2.0;
+  let words = Gc.minor_words () -. mw0 in
+  if words > 1024.0 then
+    Alcotest.failf "4 MiB power cycle allocated %.0f minor words (ceiling 1024)" words
+
 let () =
   Alcotest.run "sentry_soc_fastpath"
     [
@@ -157,5 +221,10 @@ let () =
           Alcotest.test_case "byte accessors" `Quick test_byte_accessors;
         ] );
       ( "allocation",
-        [ Alcotest.test_case "warm path ceiling" `Quick test_warm_path_allocation_ceiling ] );
+        [
+          Alcotest.test_case "warm path ceiling" `Quick test_warm_path_allocation_ceiling;
+          Alcotest.test_case "power cycle ceiling" `Quick test_power_cycle_allocation_ceiling;
+        ] );
+      ( "remanence",
+        [ Alcotest.test_case "power cycle = per-byte flip" `Quick test_power_cycle_matches_reference ] );
     ]

@@ -44,6 +44,86 @@ let test_prng_flip_bias () =
   let ratio = float_of_int !heads /. float_of_int n in
   checkb "quarter-ish" true (ratio > 0.22 && ratio < 0.28)
 
+(* The bulk Bernoulli draw must be [n] calls to [flip] in disguise:
+   the same decisions, and the same state behind them (checked through
+   the next draw).  The probabilities cover both extremes, 1 - 2^-53
+   (the largest p below 1, where only the top draw fails), and the
+   survival odds of the remanence model. *)
+let bulk_flip_ps = [ 0.0; 0.00316; 0.4217; 0.99684; 1.0 -. epsilon_float /. 2.0 ]
+
+(* Probabilities on the decision boundary of [seed]'s draw [k]: the
+   draw itself as a float (that draw must fail) and its neighbours. *)
+let boundary_ps ~seed k =
+  let t = Prng.create ~seed in
+  for _ = 1 to k do
+    ignore (Prng.next_int64 t)
+  done;
+  let u = Prng.float t 1.0 in
+  [ Float.pred u; u; Float.succ u ]
+
+let test_prng_flips_into_matches_flip () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun p ->
+          let n = 20_000 and off = 3 in
+          let bulk = Prng.create ~seed and one = Prng.create ~seed in
+          let mask = Bytes.make (n + off + 5) '?' in
+          Prng.flips_into bulk ~p mask ~off ~len:n;
+          let expected =
+            Bytes.init (Bytes.length mask) (fun i ->
+                if i < off || i >= off + n then '?'
+                else if Prng.flip one ~p then '\xff'
+                else '\x00')
+          in
+          let what = Printf.sprintf "seed %d p %h" seed p in
+          Alcotest.(check bytes) (what ^ " decisions") expected mask;
+          Alcotest.(check int64) (what ^ " next draw") (Prng.next_int64 one) (Prng.next_int64 bulk))
+        (bulk_flip_ps @ boundary_ps ~seed 5 @ boundary_ps ~seed 19_999))
+    [ 1; 7; 42; 0x5eed; -3 ]
+
+(* [flip] is the division-free form of "a uniform float below p"; the
+   division form stays here as the oracle, over edge-case p too. *)
+let test_prng_flip_matches_float () =
+  let ps =
+    bulk_flip_ps @ boundary_ps ~seed:11 0 @ boundary_ps ~seed:11 4_999
+    @ [ -1.0; 1.0; 2.0; Float.nan; Float.infinity; 5e-324; 1.1e-16 ]
+  in
+  List.iter
+    (fun p ->
+      let a = Prng.create ~seed:11 and b = Prng.create ~seed:11 in
+      let disagree = ref 0 in
+      for _ = 1 to 5_000 do
+        if Prng.flip a ~p <> (Prng.float b 1.0 < p) then incr disagree
+      done;
+      checki (Printf.sprintf "p %h: disagreements" p) 0 !disagree)
+    ps
+
+(* The state lives unboxed, so single draws allocate nothing either
+   (the fault injector's probabilistic triggers call [flip] per hit). *)
+let test_prng_flip_allocation_free () =
+  let t = Prng.create ~seed:2 in
+  let mw0 = Gc.minor_words () in
+  let heads = ref 0 in
+  for _ = 1 to 10_000 do
+    if Prng.flip t ~p:0.5 then incr heads
+  done;
+  let words = Gc.minor_words () -. mw0 in
+  checkb "some heads" true (!heads > 0);
+  if words > 64.0 then Alcotest.failf "10k flips allocated %.0f minor words (ceiling 64)" words
+
+let test_prng_flips_into_bounds () =
+  let t = Prng.create ~seed:1 in
+  let mask = Bytes.create 8 in
+  let before = Prng.copy t in
+  Prng.flips_into t ~p:0.5 mask ~off:8 ~len:0;
+  Alcotest.(check int64) "empty draw keeps state" (Prng.next_int64 before) (Prng.next_int64 t);
+  List.iter
+    (fun (off, len) ->
+      Alcotest.check_raises "out of range" (Invalid_argument "Prng.flips_into") (fun () ->
+          Prng.flips_into t ~p:0.5 mask ~off ~len))
+    [ (-1, 2); (0, 9); (7, 2); (0, -1) ]
+
 let test_prng_bytes_len () =
   let p = Prng.create ~seed:6 in
   checki "length" 33 (Bytes.length (Prng.bytes p 33))
@@ -387,6 +467,10 @@ let () =
           Alcotest.test_case "int bounds" `Quick test_prng_int_bounds;
           Alcotest.test_case "float bounds" `Quick test_prng_float_bounds;
           Alcotest.test_case "flip bias" `Quick test_prng_flip_bias;
+          Alcotest.test_case "flips_into = n x flip" `Quick test_prng_flips_into_matches_flip;
+          Alcotest.test_case "flip = float below p" `Quick test_prng_flip_matches_float;
+          Alcotest.test_case "flips_into bounds" `Quick test_prng_flips_into_bounds;
+          Alcotest.test_case "flip allocation free" `Quick test_prng_flip_allocation_free;
           Alcotest.test_case "bytes length" `Quick test_prng_bytes_len;
           Alcotest.test_case "shuffle permutation" `Quick test_prng_shuffle_permutation;
           Alcotest.test_case "zipf skew" `Quick test_prng_zipf_gen_skew;
