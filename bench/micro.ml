@@ -27,6 +27,12 @@ let t_aes_cbc_4k =
   Test.make ~name:"fig11/aes128-cbc-4k-page"
     (Staged.stage (fun () -> ignore (Mode.cbc_encrypt c ~iv page4k)))
 
+(* the fused register-chained page kernel the pager decrypts with *)
+let t_aes_cbc_4k_decrypt =
+  let page = Bytes.make 4096 'c' in
+  Test.make ~name:"fig11/aes128-cbc-4k-page-decrypt"
+    (Staged.stage (fun () -> Aes.cbc_decrypt_into aes_key ~iv page 0 256))
+
 let t_aes_instrumented =
   let buf = Bytes.make 4096 '\000' in
   let blk = Aes_block.init (Accessor.native buf) ~key:(Bytes.make 16 'k') in
@@ -93,6 +99,16 @@ let t_page_encrypt =
   Test.make ~name:"fig4/page-encrypt-in-place"
     (Staged.stage (fun () -> Sentry_core.Page_crypt.encrypt_frame pc ~pid:1 ~vpn:7 ~frame))
 
+(* Fig 2: the page decrypt of one lazy fault (first touch after
+   unlock) *)
+let t_page_decrypt =
+  let system = Sentry_core.System.boot `Tegra3 ~seed:1 in
+  let sentry = Sentry_core.Sentry.install system (Sentry_core.Config.default `Tegra3) in
+  let pc = Sentry_core.Sentry.page_crypt sentry in
+  let frame = Sentry_kernel.Frame_alloc.alloc system.Sentry_core.System.frames in
+  Test.make ~name:"fig2/lazy-fault-decrypt-page"
+    (Staged.stage (fun () -> Sentry_core.Page_crypt.decrypt_frame pc ~pid:1 ~vpn:7 ~frame))
+
 (* Fig 9: one dm-crypt sector round trip *)
 let t_dmcrypt =
   let system = Sentry_core.System.boot `Tegra3 ~seed:2 in
@@ -143,6 +159,7 @@ let tests =
   [
     t_aes_block;
     t_aes_cbc_4k;
+    t_aes_cbc_4k_decrypt;
     t_aes_instrumented;
     t_sha256;
     t_aes_ct;
@@ -152,6 +169,7 @@ let tests =
     t_remanence;
     t_fuzzy_scan;
     t_page_encrypt;
+    t_page_decrypt;
     t_dmcrypt;
     t_keyscan;
     t_page_in;

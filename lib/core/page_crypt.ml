@@ -54,11 +54,6 @@ let decrypt_bytes t ~pid ~vpn data =
   t.bytes_decrypted <- t.bytes_decrypted + Bytes.length data;
   Aes_on_soc.bulk t.aes ~dir:`Decrypt ~iv:(iv t ~pid ~vpn) data
 
-(** Encrypt a frame in place (lock path).  The ciphertext replaces the
-    plaintext through the cached path; the lock sequence ends with a
-    masked L2 flush so no plaintext survives in unlocked ways.
-    Passing through the cipher declassifies: the frame's bytes are
-    re-labelled [Ciphertext]. *)
 let trace_frame t name ~pid ~vpn ~frame =
   if Sentry_obs.Trace.on () then
     Sentry_obs.Trace.emit
@@ -71,41 +66,65 @@ let trace_frame t name ~pid ~vpn ~frame =
           ("frame", Sentry_obs.Event.Int frame);
         ]
 
-let encrypt_frame ?(commit = fun () -> ()) t ~pid ~vpn ~frame =
-  trace_frame t "encrypt-frame" ~pid ~vpn ~frame;
-  Machine.read_into t.machine frame t.page_buf ~off:0 ~len:Page.size;
-  t.bytes_encrypted <- t.bytes_encrypted + Page.size;
+(* The one page transform every pager path takes — lazy faults, the
+   per-page and batched walks, recovery, region decrypts and the
+   offload engine: cached run-path read into the reused staging
+   buffer, counter, mid-call fault hook, IV into the reused IV
+   buffer, the fused cipher kernel in place, then the taint-labelled
+   write-back.  Passing through the cipher relabels the bytes:
+   [Ciphertext] on the way in, [Secret_cleartext] on the way out.
+   With [~offload] the cipher runs host-side only and the page is a
+   command on the [Offload_engine] queue, which accounts its
+   simulated time and energy; the bytes are the same. *)
+let transform t ~offload ~(dir : [ `Encrypt | `Decrypt ]) ~pid ~vpn ~frame =
+  trace_frame t (match dir with `Encrypt -> "encrypt-frame" | `Decrypt -> "decrypt-frame") ~pid
+    ~vpn ~frame;
+  Machine.read_run_into t.machine frame t.page_buf ~off:0 ~len:Page.size;
+  (match dir with
+  | `Encrypt -> t.bytes_encrypted <- t.bytes_encrypted + Page.size
+  | `Decrypt -> t.bytes_decrypted <- t.bytes_decrypted + Page.size);
   (* fault hook: a reset here dies mid-call — the frame is still
-     cleartext in memory (the staging buffer is not addressable), so
-     recovery's re-encryption of this unflagged page is idempotent *)
+     untransformed in memory (the staging buffer is not addressable),
+     so recovery's redo of this page is idempotent *)
   Sentry_faults.Injector.fire Sentry_faults.Injector.Points.frame_transform;
-  (* in place over the staging buffer: read, transform, write back *)
-  Aes_on_soc.bulk_into t.aes ~dir:`Encrypt ~iv:(iv t ~pid ~vpn) ~src:t.page_buf ~src_off:0
-    ~dst:t.page_buf ~dst_off:0 ~len:Page.size;
-  Machine.with_taint t.machine Taint.Ciphertext (fun () ->
-      Machine.write_from t.machine frame t.page_buf ~off:0 ~len:Page.size);
-  (* the caller's commit (PTE flag + journal record) belongs to the
-     same crash unit as the write-back: it must land before the
-     page-boundary fault hook, or a crash at the hook would leave
-     this frame as ciphertext that the PTE still calls cleartext —
-     and the recovery sweep (keyed off PTE bits) would encrypt it a
-     second time, garbling the page for good *)
+  Essiv.iv_into t.essiv ~sector:((pid lsl 24) lxor vpn) t.iv_buf 0;
+  if offload then begin
+    Aes_on_soc.bulk_fused_raw t.aes ~dir ~iv:t.iv_buf ~iv_off:0 ~src:t.page_buf ~src_off:0
+      ~dst:t.page_buf ~dst_off:0 ~len:Page.size;
+    Offload_engine.submit t.engine ~bytes:Page.size
+  end
+  else
+    Aes_on_soc.bulk_into t.aes ~dir ~iv:t.iv_buf ~src:t.page_buf ~src_off:0 ~dst:t.page_buf
+      ~dst_off:0 ~len:Page.size;
+  let level = match dir with `Encrypt -> Taint.Ciphertext | `Decrypt -> Taint.Secret_cleartext in
+  Machine.with_taint t.machine level (fun () ->
+      Machine.write_run_from t.machine frame t.page_buf ~off:0 ~len:Page.size)
+
+(** Encrypt a frame in place (lock path).  The caller's [commit] (PTE
+    flag + journal record) belongs to the same crash unit as the
+    write-back: it lands before the page-boundary fault hook, or a
+    crash at the hook would leave this frame as ciphertext that the
+    PTE still calls cleartext — and the recovery sweep (keyed off PTE
+    bits) would encrypt it a second time, garbling the page for good.
+    The hook itself fires after ciphertext, PTE flag and journal
+    record have all committed. *)
+let encrypt_frame ?(commit = fun () -> ()) t ~pid ~vpn ~frame =
+  transform t ~offload:false ~dir:`Encrypt ~pid ~vpn ~frame;
   commit ();
-  (* fault hook: power loss after the Nth encrypted page fires here —
-     ciphertext, PTE flag and journal record have all committed *)
   Sentry_faults.Injector.fire Sentry_faults.Injector.Points.page_encrypted
 
 (** Decrypt a frame in place (lazy unlock path); the recovered bytes
     are secret cleartext again. *)
 let decrypt_frame t ~pid ~vpn ~frame =
-  trace_frame t "decrypt-frame" ~pid ~vpn ~frame;
-  Machine.read_into t.machine frame t.page_buf ~off:0 ~len:Page.size;
-  t.bytes_decrypted <- t.bytes_decrypted + Page.size;
-  Sentry_faults.Injector.fire Sentry_faults.Injector.Points.frame_transform;
-  Aes_on_soc.bulk_into t.aes ~dir:`Decrypt ~iv:(iv t ~pid ~vpn) ~src:t.page_buf ~src_off:0
-    ~dst:t.page_buf ~dst_off:0 ~len:Page.size;
-  Machine.with_taint t.machine Taint.Secret_cleartext (fun () ->
-      Machine.write_from t.machine frame t.page_buf ~off:0 ~len:Page.size);
+  transform t ~offload:false ~dir:`Decrypt ~pid ~vpn ~frame;
+  Sentry_faults.Injector.fire Sentry_faults.Injector.Points.page_decrypted
+
+(** Single-page lazy decrypt through the offload engine — the losing
+    side of the crossover: submit one command, then block on the full
+    fixed completion latency before the faulting process can run. *)
+let decrypt_frame_offload t ~pid ~vpn ~frame =
+  transform t ~offload:true ~dir:`Decrypt ~pid ~vpn ~frame;
+  Offload_engine.flush t.engine;
   Sentry_faults.Injector.fire Sentry_faults.Injector.Points.page_decrypted
 
 (* ----------------------- batched pipeline ------------------------ *)
@@ -115,158 +134,56 @@ let decrypt_frame t ~pid ~vpn ~frame =
     DRAM (and the physically-indexed L2) monotonically. *)
 type batch_item = { pid : int; vpn : int; frame : int }
 
-(* One batched page transform.  The per-page op sequence — trace,
-   cached read, counter, fault hooks, cipher charge bracket, tainted
-   write-back — replicates [encrypt_frame]/[decrypt_frame] {e
-   exactly}, so the simulated state evolution per page is identical;
-   the batch engine only changes the host-side machinery around it
-   (run-granule memory path, reused IV buffer, fused cipher kernel,
-   one cached [Mode] across the batch). *)
-let transform_item t ~(dir : [ `Encrypt | `Decrypt ]) { pid; vpn; frame } =
-  trace_frame t (match dir with `Encrypt -> "encrypt-frame" | `Decrypt -> "decrypt-frame") ~pid
-    ~vpn ~frame;
-  Machine.read_run_into t.machine frame t.page_buf ~off:0 ~len:Page.size;
-  (match dir with
-  | `Encrypt -> t.bytes_encrypted <- t.bytes_encrypted + Page.size
-  | `Decrypt -> t.bytes_decrypted <- t.bytes_decrypted + Page.size);
-  Sentry_faults.Injector.fire Sentry_faults.Injector.Points.frame_transform;
-  Essiv.iv_into t.essiv ~sector:((pid lsl 24) lxor vpn) t.iv_buf 0;
-  Aes_on_soc.bulk_fused_into t.aes ~dir ~iv:t.iv_buf ~iv_off:0 ~src:t.page_buf ~src_off:0
-    ~dst:t.page_buf ~dst_off:0 ~len:Page.size;
-  let level = match dir with `Encrypt -> Taint.Ciphertext | `Decrypt -> Taint.Secret_cleartext in
-  Machine.with_taint t.machine level (fun () ->
-      Machine.write_run_from t.machine frame t.page_buf ~off:0 ~len:Page.size)
+(* The batch walk: each page takes [transform], with the per-page
+   commit slots of the frame paths.  Encrypt: [complete i] right after
+   the ciphertext lands and before the [page_encrypted] hook (the
+   caller flips the PTE and journals there, as in [encrypt_frame]'s
+   [commit]), so a crash at any page boundary leaves every ciphertext
+   page flagged and recovery's PTE-keyed roll-forward idempotent.
+   Decrypt: [prepare i] before the page is touched (the caller clears
+   the encrypted bit there — fail-secure: a crash mid-transform
+   re-encrypts on recovery), [complete i] after the cleartext and the
+   [page_decrypted] hook.  The offload walk polls the engine once,
+   after the last page, amortizing its fixed latency over the run. *)
+let walk t ~offload ~dir ~span items ~prepare ~complete =
+  let traced = Sentry_obs.Trace.on () in
+  if traced then
+    Sentry_obs.Trace.enter_span
+      ~ts:(Clock.now (Machine.clock t.machine))
+      ~cat:Sentry_obs.Event.Crypto ~subsystem:"core.page_crypt" span;
+  Array.iteri
+    (fun i { pid; vpn; frame } ->
+      prepare i;
+      transform t ~offload ~dir ~pid ~vpn ~frame;
+      match dir with
+      | `Encrypt ->
+          complete i;
+          Sentry_faults.Injector.fire Sentry_faults.Injector.Points.page_encrypted
+      | `Decrypt ->
+          Sentry_faults.Injector.fire Sentry_faults.Injector.Points.page_decrypted;
+          complete i)
+    items;
+  if offload then Offload_engine.flush t.engine;
+  if traced then
+    Sentry_obs.Trace.exit_span
+      ~ts:(Clock.now (Machine.clock t.machine))
+      ~args:[ ("pages", Sentry_obs.Event.Int (Array.length items)) ]
+      ()
 
-let fire_page_done = function
-  | `Encrypt -> Sentry_faults.Injector.fire Sentry_faults.Injector.Points.page_encrypted
-  | `Decrypt -> Sentry_faults.Injector.fire Sentry_faults.Injector.Points.page_decrypted
+let no_prepare (_ : int) = ()
 
-(** [encrypt_batch t items ~complete] — the lock path's batch engine:
-    encrypt every item's frame in place, calling [complete i]
-    immediately after item [i]'s ciphertext lands and {e before} the
-    [page_encrypted] fault hook — the caller flips the PTE and
-    journals there, matching [encrypt_frame]'s [?commit] slot, so a
-    crash at any page boundary leaves every ciphertext page flagged
-    and recovery's PTE-keyed roll-forward idempotent. *)
 let encrypt_batch t items ~complete =
-  let traced = Sentry_obs.Trace.on () in
-  if traced then
-    Sentry_obs.Trace.enter_span
-      ~ts:(Clock.now (Machine.clock t.machine))
-      ~cat:Sentry_obs.Event.Crypto ~subsystem:"core.page_crypt" "encrypt-batch";
-  Array.iteri
-    (fun i item ->
-      transform_item t ~dir:`Encrypt item;
-      complete i;
-      fire_page_done `Encrypt)
-    items;
-  if traced then
-    Sentry_obs.Trace.exit_span
-      ~ts:(Clock.now (Machine.clock t.machine))
-      ~args:[ ("pages", Sentry_obs.Event.Int (Array.length items)) ]
-      ()
+  walk t ~offload:false ~dir:`Encrypt ~span:"encrypt-batch" items ~prepare:no_prepare ~complete
 
-(** [decrypt_batch t items ~prepare ~complete] — the unlock twin:
-    [prepare i] runs {e before} item [i] is touched (the caller clears
-    the PTE's encrypted bit there — fail-secure: a crash mid-transform
-    re-encrypts on recovery), [complete i] after the cleartext lands. *)
 let decrypt_batch t items ~prepare ~complete =
-  let traced = Sentry_obs.Trace.on () in
-  if traced then
-    Sentry_obs.Trace.enter_span
-      ~ts:(Clock.now (Machine.clock t.machine))
-      ~cat:Sentry_obs.Event.Crypto ~subsystem:"core.page_crypt" "decrypt-batch";
-  Array.iteri
-    (fun i item ->
-      prepare i;
-      transform_item t ~dir:`Decrypt item;
-      fire_page_done `Decrypt;
-      complete i)
-    items;
-  if traced then
-    Sentry_obs.Trace.exit_span
-      ~ts:(Clock.now (Machine.clock t.machine))
-      ~args:[ ("pages", Sentry_obs.Event.Int (Array.length items)) ]
-      ()
+  walk t ~offload:false ~dir:`Decrypt ~span:"decrypt-batch" items ~prepare ~complete
 
-(* ----------------------- offload pipeline ------------------------ *)
-
-(* Offload twin of [transform_item]: same cached read, counters, fault
-   hooks, IVs, taint-labelled write-back and the same fused cipher
-   kernel (via [bulk_fused_raw]), so the simulated DRAM/PTE/taint
-   evolution is bit-identical to the CPU path.  Only the time/energy
-   accounting changes: instead of [Perf.charge] inside an IRQ bracket,
-   each page is a command submitted to the [Offload_engine] queue. *)
-let transform_item_offload t ~(dir : [ `Encrypt | `Decrypt ]) { pid; vpn; frame } =
-  trace_frame t (match dir with `Encrypt -> "encrypt-frame" | `Decrypt -> "decrypt-frame") ~pid
-    ~vpn ~frame;
-  Machine.read_run_into t.machine frame t.page_buf ~off:0 ~len:Page.size;
-  (match dir with
-  | `Encrypt -> t.bytes_encrypted <- t.bytes_encrypted + Page.size
-  | `Decrypt -> t.bytes_decrypted <- t.bytes_decrypted + Page.size);
-  Sentry_faults.Injector.fire Sentry_faults.Injector.Points.frame_transform;
-  Essiv.iv_into t.essiv ~sector:((pid lsl 24) lxor vpn) t.iv_buf 0;
-  Aes_on_soc.bulk_fused_raw t.aes ~dir ~iv:t.iv_buf ~iv_off:0 ~src:t.page_buf ~src_off:0
-    ~dst:t.page_buf ~dst_off:0 ~len:Page.size;
-  Offload_engine.submit t.engine ~bytes:Page.size;
-  let level = match dir with `Encrypt -> Taint.Ciphertext | `Decrypt -> Taint.Secret_cleartext in
-  Machine.with_taint t.machine level (fun () ->
-      Machine.write_run_from t.machine frame t.page_buf ~off:0 ~len:Page.size)
-
-(** Offload twin of [encrypt_batch]: pipelines frame-sorted runs into
-    the command queue and polls for completion once, after the last
-    page — the fixed per-command latency is amortized over the batch.
-    Commit ordering per page is unchanged ([complete i] before the
-    [page_encrypted] hook), so crash units and recovery are identical
-    to the batched CPU path. *)
 let encrypt_batch_offload t items ~complete =
-  let traced = Sentry_obs.Trace.on () in
-  if traced then
-    Sentry_obs.Trace.enter_span
-      ~ts:(Clock.now (Machine.clock t.machine))
-      ~cat:Sentry_obs.Event.Crypto ~subsystem:"core.page_crypt" "encrypt-batch-offload";
-  Array.iteri
-    (fun i item ->
-      transform_item_offload t ~dir:`Encrypt item;
-      complete i;
-      fire_page_done `Encrypt)
-    items;
-  Offload_engine.flush t.engine;
-  if traced then
-    Sentry_obs.Trace.exit_span
-      ~ts:(Clock.now (Machine.clock t.machine))
-      ~args:[ ("pages", Sentry_obs.Event.Int (Array.length items)) ]
-      ()
+  walk t ~offload:true ~dir:`Encrypt ~span:"encrypt-batch-offload" items ~prepare:no_prepare
+    ~complete
 
-(** Offload twin of [decrypt_batch]; same [prepare]/[complete] slots,
-    one completion poll per run. *)
 let decrypt_batch_offload t items ~prepare ~complete =
-  let traced = Sentry_obs.Trace.on () in
-  if traced then
-    Sentry_obs.Trace.enter_span
-      ~ts:(Clock.now (Machine.clock t.machine))
-      ~cat:Sentry_obs.Event.Crypto ~subsystem:"core.page_crypt" "decrypt-batch-offload";
-  Array.iteri
-    (fun i item ->
-      prepare i;
-      transform_item_offload t ~dir:`Decrypt item;
-      fire_page_done `Decrypt;
-      complete i)
-    items;
-  Offload_engine.flush t.engine;
-  if traced then
-    Sentry_obs.Trace.exit_span
-      ~ts:(Clock.now (Machine.clock t.machine))
-      ~args:[ ("pages", Sentry_obs.Event.Int (Array.length items)) ]
-      ()
-
-(** Single-page lazy decrypt through the offload engine — the losing
-    side of the crossover: submit one command, then block on the full
-    fixed completion latency before the faulting process can run. *)
-let decrypt_frame_offload t ~pid ~vpn ~frame =
-  transform_item_offload t ~dir:`Decrypt { pid; vpn; frame };
-  Offload_engine.flush t.engine;
-  Sentry_faults.Injector.fire Sentry_faults.Injector.Points.page_decrypted
+  walk t ~offload:true ~dir:`Decrypt ~span:"decrypt-batch-offload" items ~prepare ~complete
 
 let counters t = (t.bytes_encrypted, t.bytes_decrypted)
 

@@ -24,7 +24,10 @@ val iv : t -> pid:int -> vpn:int -> Bytes.t
 val encrypt_bytes : t -> pid:int -> vpn:int -> Bytes.t -> Bytes.t
 val decrypt_bytes : t -> pid:int -> vpn:int -> Bytes.t -> Bytes.t
 
-(** Encrypt a physical frame in place through the cached path.
+(** Encrypt a physical frame in place.  Every page transform — these
+    two, the batch and offload walks below — is one path: run-path
+    read into a reused staging buffer, fault hook, the fused cipher
+    kernel in place, taint-labelled run-path write-back.
     [?commit] runs after the ciphertext write-back and {e before} the
     [page_encrypted] fault hook — flip the PTE and journal there, so
     a crash at the page boundary never leaves committed ciphertext
@@ -38,11 +41,9 @@ val decrypt_frame : t -> pid:int -> vpn:int -> frame:int -> unit
 (** {2 Batched pipeline}
 
     The batch engine transforms a pre-gathered, frame-sorted set of
-    pages through one reused staging buffer, one reused IV buffer and
-    the fused cipher kernel.  Each page's simulated op sequence (read,
-    fault hooks, cipher charge, tainted write-back) is exactly
-    [encrypt_frame]/[decrypt_frame]'s, so per-page observables are
-    bit-identical; only host-side overhead changes. *)
+    pages, each through the same page transform as
+    [encrypt_frame]/[decrypt_frame], with the same commit slots, so
+    per-page observables are bit-identical. *)
 
 (** One page of a batch; [frame] is the physical frame address. *)
 type batch_item = { pid : int; vpn : int; frame : int }
@@ -63,8 +64,9 @@ val decrypt_batch : t -> batch_item array -> prepare:(int -> unit) -> complete:(
     Twins of the batch engine that submit each page as a command to
     the [Offload_engine] queue instead of charging the CPU cipher.
     Simulated DRAM/PTE/taint evolution is bit-identical to the CPU
-    paths (same fused kernel via [Aes_on_soc.bulk_fused_raw], same
-    hooks and commit slots); only time/energy accounting differs. *)
+    paths (same page transform, the kernel via
+    [Aes_on_soc.bulk_fused_raw], same hooks and commit slots); only
+    time/energy accounting differs. *)
 
 val encrypt_batch_offload : t -> batch_item array -> complete:(int -> unit) -> unit
 

@@ -43,10 +43,10 @@ let te1 = Aes_tables.te_words_r8
 let te2 = Aes_tables.te_words_r16
 let te3 = Aes_tables.te_words_r24
 let sbox = Aes_tables.sbox
-let td0 = Aes_tables.td_words
-let td1 = Aes_tables.td_words_r8
-let td2 = Aes_tables.td_words_r16
-let td3 = Aes_tables.td_words_r24
+let td0 = Aes_tables.td_sbox_words
+let td1 = Aes_tables.td_sbox_words_r8
+let td2 = Aes_tables.td_sbox_words_r16
+let td3 = Aes_tables.td_sbox_words_r24
 let isbox = Aes_tables.inv_sbox
 
 (* One column of an inner encryption round: table lookups merge
@@ -93,53 +93,57 @@ let encrypt_block (k : key) src src_off dst dst_off =
     (get_word src (src_off + 8) lxor Array.unsafe_get rk 2)
     (get_word src (src_off + 12) lxor Array.unsafe_get rk 3)
 
-(* InvShiftRows + InvSubBytes for one column, drawing bytes from
-   columns (i, i+3, i+2, i+1) mod 4. *)
-let[@inline] dec_shift_sub a b c d =
+(* Decryption is the equivalent inverse cipher (FIPS-197 §5.3.5):
+   the same round structure as encryption, over the decryption
+   schedule [Aes_key.dec_words] and tables merging InvSubBytes and
+   InvMixColumns ([Aes_tables.td_sbox_words]), so an inner round is
+   16 lookups, as in encryption.  Column [i] of a round draws its
+   bytes from columns (i, i+3, i+2, i+1) mod 4 (InvShiftRows). *)
+let[@inline] dec_mix dk r4 i a b c d =
+  Array.unsafe_get td0 ((a lsr 24) land 0xff)
+  lxor Array.unsafe_get td1 ((b lsr 16) land 0xff)
+  lxor Array.unsafe_get td2 ((c lsr 8) land 0xff)
+  lxor Array.unsafe_get td3 (d land 0xff)
+  lxor Array.unsafe_get dk (r4 + i)
+
+(* One column of the final round: InvShiftRows + InvSubBytes +
+   AddRoundKey, no InvMixColumns. *)
+let[@inline] dec_last dk nr4 i a b c d =
   (Array.unsafe_get isbox ((a lsr 24) land 0xff) lsl 24)
   lor (Array.unsafe_get isbox ((b lsr 16) land 0xff) lsl 16)
   lor (Array.unsafe_get isbox ((c lsr 8) land 0xff) lsl 8)
   lor Array.unsafe_get isbox (d land 0xff)
+  lxor Array.unsafe_get dk (nr4 + i)
 
-(* AddRoundKey + InvMixColumns for one column. *)
-let[@inline] dec_mix rk r4 i t =
-  let w = t lxor Array.unsafe_get rk (r4 + i) in
-  Array.unsafe_get td0 ((w lsr 24) land 0xff)
-  lxor Array.unsafe_get td1 ((w lsr 16) land 0xff)
-  lxor Array.unsafe_get td2 ((w lsr 8) land 0xff)
-  lxor Array.unsafe_get td3 (w land 0xff)
-
-let rec dec_rounds rk dst dst_off round s0 s1 s2 s3 =
-  let t0 = dec_shift_sub s0 s3 s2 s1
-  and t1 = dec_shift_sub s1 s0 s3 s2
-  and t2 = dec_shift_sub s2 s1 s0 s3
-  and t3 = dec_shift_sub s3 s2 s1 s0 in
-  if round = 0 then begin
-    set_word dst dst_off (t0 lxor Array.unsafe_get rk 0);
-    set_word dst (dst_off + 4) (t1 lxor Array.unsafe_get rk 1);
-    set_word dst (dst_off + 8) (t2 lxor Array.unsafe_get rk 2);
-    set_word dst (dst_off + 12) (t3 lxor Array.unsafe_get rk 3)
+(* Rounds [round .. nr]; the output words are XORed with [x0..x3]
+   (the CBC chain, or zero for a bare block) as they are stored. *)
+let rec dec_rounds dk nr dst dst_off round s0 s1 s2 s3 x0 x1 x2 x3 =
+  if round = nr then begin
+    let nr4 = 4 * nr in
+    set_word dst dst_off (dec_last dk nr4 0 s0 s3 s2 s1 lxor x0);
+    set_word dst (dst_off + 4) (dec_last dk nr4 1 s1 s0 s3 s2 lxor x1);
+    set_word dst (dst_off + 8) (dec_last dk nr4 2 s2 s1 s0 s3 lxor x2);
+    set_word dst (dst_off + 12) (dec_last dk nr4 3 s3 s2 s1 s0 lxor x3)
   end
   else begin
     let r4 = 4 * round in
-    dec_rounds rk dst dst_off (round - 1) (dec_mix rk r4 0 t0) (dec_mix rk r4 1 t1)
-      (dec_mix rk r4 2 t2) (dec_mix rk r4 3 t3)
+    dec_rounds dk nr dst dst_off (round + 1) (dec_mix dk r4 0 s0 s3 s2 s1)
+      (dec_mix dk r4 1 s1 s0 s3 s2) (dec_mix dk r4 2 s2 s1 s0 s3) (dec_mix dk r4 3 s3 s2 s1 s0)
+      x0 x1 x2 x3
   end
 
-(** Inverse cipher in the direct order: InvShiftRows, InvSubBytes,
-    AddRoundKey, InvMixColumns.  Uses the same (encryption) schedule
-    applied backwards — no separate decryption schedule is stored. *)
+(** Inverse cipher, equivalent form: the decryption schedule is
+    precomputed by [Aes_key.expand]. *)
 let decrypt_block (k : key) src src_off dst dst_off =
   check_block src src_off;
   check_block dst dst_off;
-  let rk = k.Aes_key.words in
-  let nr = k.Aes_key.nr in
-  let nr4 = 4 * nr in
-  dec_rounds rk dst dst_off (nr - 1)
-    (get_word src src_off lxor Array.unsafe_get rk nr4)
-    (get_word src (src_off + 4) lxor Array.unsafe_get rk (nr4 + 1))
-    (get_word src (src_off + 8) lxor Array.unsafe_get rk (nr4 + 2))
-    (get_word src (src_off + 12) lxor Array.unsafe_get rk (nr4 + 3))
+  let dk = k.Aes_key.dec_words in
+  dec_rounds dk k.Aes_key.nr dst dst_off 1
+    (get_word src src_off lxor Array.unsafe_get dk 0)
+    (get_word src (src_off + 4) lxor Array.unsafe_get dk 1)
+    (get_word src (src_off + 8) lxor Array.unsafe_get dk 2)
+    (get_word src (src_off + 12) lxor Array.unsafe_get dk 3)
+    0 0 0 0
 
 let block_size = 16
 
@@ -238,79 +242,40 @@ let cbc_encrypt_into (k : key) ~iv ?(iv_off = 0) src src_off dst dst_off nblocks
     done
   end
 
-(* Final decryption round with the CBC chain XOR folded into the
-   output store, used by the generic-[nr] fallback below. *)
-let rec dec_rounds_x rk dst dst_off round s0 s1 s2 s3 x0 x1 x2 x3 =
-  let t0 = dec_shift_sub s0 s3 s2 s1
-  and t1 = dec_shift_sub s1 s0 s3 s2
-  and t2 = dec_shift_sub s2 s1 s0 s3
-  and t3 = dec_shift_sub s3 s2 s1 s0 in
-  if round = 0 then begin
-    set_word dst dst_off (t0 lxor Array.unsafe_get rk 0 lxor x0);
-    set_word dst (dst_off + 4) (t1 lxor Array.unsafe_get rk 1 lxor x1);
-    set_word dst (dst_off + 8) (t2 lxor Array.unsafe_get rk 2 lxor x2);
-    set_word dst (dst_off + 12) (t3 lxor Array.unsafe_get rk 3 lxor x3)
-  end
-  else begin
-    let r4 = 4 * round in
-    dec_rounds_x rk dst dst_off (round - 1) (dec_mix rk r4 0 t0) (dec_mix rk r4 1 t1)
-      (dec_mix rk r4 2 t2) (dec_mix rk r4 3 t3) x0 x1 x2 x3
-  end
-
 (* AES-128 CBC decrypt in place, fully unrolled.  Each block's
    ciphertext words are read (and saved as the next chain) before the
    cleartext is stored over them, so in-place operation is safe. *)
-let cbc_decrypt_u10 rk ~iv ~iv_off buf off nblocks =
+let cbc_decrypt_u10 dk ~iv ~iv_off buf off nblocks =
   let c0 = ref (get_word_32 iv iv_off) and c1 = ref (get_word_32 iv (iv_off + 4))
   and c2 = ref (get_word_32 iv (iv_off + 8)) and c3 = ref (get_word_32 iv (iv_off + 12)) in
   for i = 0 to nblocks - 1 do
     let o = off + (16 * i) in
     let w0 = get_word_32 buf o and w1 = get_word_32 buf (o + 4)
     and w2 = get_word_32 buf (o + 8) and w3 = get_word_32 buf (o + 12) in
-    let s0 = w0 lxor Array.unsafe_get rk 40 and s1 = w1 lxor Array.unsafe_get rk 41
-    and s2 = w2 lxor Array.unsafe_get rk 42 and s3 = w3 lxor Array.unsafe_get rk 43 in
-    let t0 = dec_shift_sub s0 s3 s2 s1 and t1 = dec_shift_sub s1 s0 s3 s2
-    and t2 = dec_shift_sub s2 s1 s0 s3 and t3 = dec_shift_sub s3 s2 s1 s0 in
-    let s0 = dec_mix rk 36 0 t0 and s1 = dec_mix rk 36 1 t1
-    and s2 = dec_mix rk 36 2 t2 and s3 = dec_mix rk 36 3 t3 in
-    let t0 = dec_shift_sub s0 s3 s2 s1 and t1 = dec_shift_sub s1 s0 s3 s2
-    and t2 = dec_shift_sub s2 s1 s0 s3 and t3 = dec_shift_sub s3 s2 s1 s0 in
-    let s0 = dec_mix rk 32 0 t0 and s1 = dec_mix rk 32 1 t1
-    and s2 = dec_mix rk 32 2 t2 and s3 = dec_mix rk 32 3 t3 in
-    let t0 = dec_shift_sub s0 s3 s2 s1 and t1 = dec_shift_sub s1 s0 s3 s2
-    and t2 = dec_shift_sub s2 s1 s0 s3 and t3 = dec_shift_sub s3 s2 s1 s0 in
-    let s0 = dec_mix rk 28 0 t0 and s1 = dec_mix rk 28 1 t1
-    and s2 = dec_mix rk 28 2 t2 and s3 = dec_mix rk 28 3 t3 in
-    let t0 = dec_shift_sub s0 s3 s2 s1 and t1 = dec_shift_sub s1 s0 s3 s2
-    and t2 = dec_shift_sub s2 s1 s0 s3 and t3 = dec_shift_sub s3 s2 s1 s0 in
-    let s0 = dec_mix rk 24 0 t0 and s1 = dec_mix rk 24 1 t1
-    and s2 = dec_mix rk 24 2 t2 and s3 = dec_mix rk 24 3 t3 in
-    let t0 = dec_shift_sub s0 s3 s2 s1 and t1 = dec_shift_sub s1 s0 s3 s2
-    and t2 = dec_shift_sub s2 s1 s0 s3 and t3 = dec_shift_sub s3 s2 s1 s0 in
-    let s0 = dec_mix rk 20 0 t0 and s1 = dec_mix rk 20 1 t1
-    and s2 = dec_mix rk 20 2 t2 and s3 = dec_mix rk 20 3 t3 in
-    let t0 = dec_shift_sub s0 s3 s2 s1 and t1 = dec_shift_sub s1 s0 s3 s2
-    and t2 = dec_shift_sub s2 s1 s0 s3 and t3 = dec_shift_sub s3 s2 s1 s0 in
-    let s0 = dec_mix rk 16 0 t0 and s1 = dec_mix rk 16 1 t1
-    and s2 = dec_mix rk 16 2 t2 and s3 = dec_mix rk 16 3 t3 in
-    let t0 = dec_shift_sub s0 s3 s2 s1 and t1 = dec_shift_sub s1 s0 s3 s2
-    and t2 = dec_shift_sub s2 s1 s0 s3 and t3 = dec_shift_sub s3 s2 s1 s0 in
-    let s0 = dec_mix rk 12 0 t0 and s1 = dec_mix rk 12 1 t1
-    and s2 = dec_mix rk 12 2 t2 and s3 = dec_mix rk 12 3 t3 in
-    let t0 = dec_shift_sub s0 s3 s2 s1 and t1 = dec_shift_sub s1 s0 s3 s2
-    and t2 = dec_shift_sub s2 s1 s0 s3 and t3 = dec_shift_sub s3 s2 s1 s0 in
-    let s0 = dec_mix rk 8 0 t0 and s1 = dec_mix rk 8 1 t1
-    and s2 = dec_mix rk 8 2 t2 and s3 = dec_mix rk 8 3 t3 in
-    let t0 = dec_shift_sub s0 s3 s2 s1 and t1 = dec_shift_sub s1 s0 s3 s2
-    and t2 = dec_shift_sub s2 s1 s0 s3 and t3 = dec_shift_sub s3 s2 s1 s0 in
-    let s0 = dec_mix rk 4 0 t0 and s1 = dec_mix rk 4 1 t1
-    and s2 = dec_mix rk 4 2 t2 and s3 = dec_mix rk 4 3 t3 in
-    let t0 = dec_shift_sub s0 s3 s2 s1 and t1 = dec_shift_sub s1 s0 s3 s2
-    and t2 = dec_shift_sub s2 s1 s0 s3 and t3 = dec_shift_sub s3 s2 s1 s0 in
-    set_word_32 buf o (t0 lxor Array.unsafe_get rk 0 lxor !c0);
-    set_word_32 buf (o + 4) (t1 lxor Array.unsafe_get rk 1 lxor !c1);
-    set_word_32 buf (o + 8) (t2 lxor Array.unsafe_get rk 2 lxor !c2);
-    set_word_32 buf (o + 12) (t3 lxor Array.unsafe_get rk 3 lxor !c3);
+    let s0 = w0 lxor Array.unsafe_get dk 0 and s1 = w1 lxor Array.unsafe_get dk 1
+    and s2 = w2 lxor Array.unsafe_get dk 2 and s3 = w3 lxor Array.unsafe_get dk 3 in
+    let t0 = dec_mix dk 4 0 s0 s3 s2 s1 and t1 = dec_mix dk 4 1 s1 s0 s3 s2
+    and t2 = dec_mix dk 4 2 s2 s1 s0 s3 and t3 = dec_mix dk 4 3 s3 s2 s1 s0 in
+    let s0 = dec_mix dk 8 0 t0 t3 t2 t1 and s1 = dec_mix dk 8 1 t1 t0 t3 t2
+    and s2 = dec_mix dk 8 2 t2 t1 t0 t3 and s3 = dec_mix dk 8 3 t3 t2 t1 t0 in
+    let t0 = dec_mix dk 12 0 s0 s3 s2 s1 and t1 = dec_mix dk 12 1 s1 s0 s3 s2
+    and t2 = dec_mix dk 12 2 s2 s1 s0 s3 and t3 = dec_mix dk 12 3 s3 s2 s1 s0 in
+    let s0 = dec_mix dk 16 0 t0 t3 t2 t1 and s1 = dec_mix dk 16 1 t1 t0 t3 t2
+    and s2 = dec_mix dk 16 2 t2 t1 t0 t3 and s3 = dec_mix dk 16 3 t3 t2 t1 t0 in
+    let t0 = dec_mix dk 20 0 s0 s3 s2 s1 and t1 = dec_mix dk 20 1 s1 s0 s3 s2
+    and t2 = dec_mix dk 20 2 s2 s1 s0 s3 and t3 = dec_mix dk 20 3 s3 s2 s1 s0 in
+    let s0 = dec_mix dk 24 0 t0 t3 t2 t1 and s1 = dec_mix dk 24 1 t1 t0 t3 t2
+    and s2 = dec_mix dk 24 2 t2 t1 t0 t3 and s3 = dec_mix dk 24 3 t3 t2 t1 t0 in
+    let t0 = dec_mix dk 28 0 s0 s3 s2 s1 and t1 = dec_mix dk 28 1 s1 s0 s3 s2
+    and t2 = dec_mix dk 28 2 s2 s1 s0 s3 and t3 = dec_mix dk 28 3 s3 s2 s1 s0 in
+    let s0 = dec_mix dk 32 0 t0 t3 t2 t1 and s1 = dec_mix dk 32 1 t1 t0 t3 t2
+    and s2 = dec_mix dk 32 2 t2 t1 t0 t3 and s3 = dec_mix dk 32 3 t3 t2 t1 t0 in
+    let t0 = dec_mix dk 36 0 s0 s3 s2 s1 and t1 = dec_mix dk 36 1 s1 s0 s3 s2
+    and t2 = dec_mix dk 36 2 s2 s1 s0 s3 and t3 = dec_mix dk 36 3 s3 s2 s1 s0 in
+    set_word_32 buf o (dec_last dk 40 0 t0 t3 t2 t1 lxor !c0);
+    set_word_32 buf (o + 4) (dec_last dk 40 1 t1 t0 t3 t2 lxor !c1);
+    set_word_32 buf (o + 8) (dec_last dk 40 2 t2 t1 t0 t3 lxor !c2);
+    set_word_32 buf (o + 12) (dec_last dk 40 3 t3 t2 t1 t0 lxor !c3);
     c0 := w0;
     c1 := w1;
     c2 := w2;
@@ -321,21 +286,21 @@ let cbc_decrypt_u10 rk ~iv ~iv_off buf off nblocks =
     [nblocks] contiguous blocks of [buf] in place in CBC mode. *)
 let cbc_decrypt_into (k : key) ~iv ?(iv_off = 0) buf off nblocks =
   check_cbc "Aes.cbc_decrypt_into" ~iv ~iv_off buf off buf off nblocks;
-  let rk = k.Aes_key.words in
-  if k.Aes_key.nr = 10 then cbc_decrypt_u10 rk ~iv ~iv_off buf off nblocks
+  let dk = k.Aes_key.dec_words in
+  if k.Aes_key.nr = 10 then cbc_decrypt_u10 dk ~iv ~iv_off buf off nblocks
   else begin
-    let nr4 = 4 * k.Aes_key.nr in
+    let nr = k.Aes_key.nr in
     let c0 = ref (get_word iv iv_off) and c1 = ref (get_word iv (iv_off + 4))
     and c2 = ref (get_word iv (iv_off + 8)) and c3 = ref (get_word iv (iv_off + 12)) in
     for i = 0 to nblocks - 1 do
       let o = off + (16 * i) in
       let w0 = get_word buf o and w1 = get_word buf (o + 4)
       and w2 = get_word buf (o + 8) and w3 = get_word buf (o + 12) in
-      dec_rounds_x rk buf o (k.Aes_key.nr - 1)
-        (w0 lxor Array.unsafe_get rk nr4)
-        (w1 lxor Array.unsafe_get rk (nr4 + 1))
-        (w2 lxor Array.unsafe_get rk (nr4 + 2))
-        (w3 lxor Array.unsafe_get rk (nr4 + 3))
+      dec_rounds dk nr buf o 1
+        (w0 lxor Array.unsafe_get dk 0)
+        (w1 lxor Array.unsafe_get dk 1)
+        (w2 lxor Array.unsafe_get dk 2)
+        (w3 lxor Array.unsafe_get dk 3)
         !c0 !c1 !c2 !c3;
       c0 := w0;
       c1 := w1;

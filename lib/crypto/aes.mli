@@ -13,8 +13,8 @@ val block_size : int
     block; [src] and [dst] may alias. *)
 val encrypt_block : key -> Bytes.t -> int -> Bytes.t -> int -> unit
 
-(** Inverse cipher (direct order, forward schedule applied backwards —
-    no separate decryption schedule is stored). *)
+(** Inverse cipher in the equivalent form (FIPS-197 §5.3.5), over the
+    decryption schedule [Aes_key.expand] precomputes. *)
 val decrypt_block : key -> Bytes.t -> int -> Bytes.t -> int -> unit
 
 (** [cbc_encrypt_into k ~iv ?iv_off src src_off dst dst_off nblocks]
@@ -29,7 +29,8 @@ val cbc_encrypt_into :
 
 (** [cbc_decrypt_into k ~iv ?iv_off buf off nblocks] decrypts
     [nblocks] contiguous blocks of [buf] {e in place} in CBC mode —
-    the unlock twin of [cbc_encrypt_into]. *)
+    the unlock twin of [cbc_encrypt_into], with the equivalent inverse
+    cipher (16 table lookups a round, as in encryption). *)
 val cbc_decrypt_into : key -> iv:Bytes.t -> ?iv_off:int -> Bytes.t -> int -> int -> unit
 
 (** One-shot block APIs (fresh output buffer). *)

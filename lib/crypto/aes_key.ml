@@ -16,6 +16,7 @@ type t = {
   size : size;
   nr : int;
   words : int array; (* 4*(nr+1) round-key words, big-endian packed *)
+  dec_words : int array; (* equivalent-inverse-cipher schedule, same size *)
 }
 
 let sub_word w =
@@ -23,6 +24,26 @@ let sub_word w =
   (s 24 lsl 24) lor (s 16 lsl 16) lor (s 8 lsl 8) lor s 0
 
 let rot_word w = ((w lsl 8) lor (w lsr 24)) land 0xffffffff
+
+(* InvMixColumns of one column word (row 0 in the top byte). *)
+let inv_mix_column w =
+  let b i = (w lsr (24 - (8 * i))) land 0xff in
+  let row c0 c1 c2 c3 =
+    Gf256.mul c0 (b 0) lxor Gf256.mul c1 (b 1) lxor Gf256.mul c2 (b 2) lxor Gf256.mul c3 (b 3)
+  in
+  (row 14 11 13 9 lsl 24) lor (row 9 14 11 13 lsl 16) lor (row 13 9 14 11 lsl 8) lor row 11 13 9 14
+
+(* The decryption schedule of the equivalent inverse cipher (FIPS-197
+   §5.3.5): round keys in reverse order, with InvMixColumns applied to
+   every round key but the first and the last.  Computed once per
+   key, so decryption never transforms the schedule per call. *)
+let inverse_schedule w nr =
+  Array.init
+    (4 * (nr + 1))
+    (fun i ->
+      let r = i / 4 and c = i mod 4 in
+      let k = w.((4 * (nr - r)) + c) in
+      if r = 0 || r = nr then k else inv_mix_column k)
 
 (** [expand key] computes the full schedule from a raw 16/24/32-byte
     key. *)
@@ -47,7 +68,7 @@ let expand key =
     in
     w.(i) <- w.(i - nk) lxor temp
   done;
-  { size; nr; words = w }
+  { size; nr; words = w; dec_words = inverse_schedule w nr }
 
 (** Round key [r] as 16 bytes (4 words). *)
 let round_key t r =

@@ -15,9 +15,15 @@ type t = {
   size : size;
   nr : int;
   words : int array;  (** 4*(nr+1) round-key words, big-endian packed *)
+  dec_words : int array;
+      (** the equivalent inverse cipher's schedule (FIPS-197 §5.3.5):
+          [words] in reverse round order, InvMixColumns applied to
+          rounds 1 .. nr-1.  Host-side only; the serialised schedule
+          is [words]. *)
 }
 
-(** [expand key] computes the full schedule from a raw key. *)
+(** [expand key] computes the full schedule, and its decryption twin,
+    from a raw key. *)
 val expand : Bytes.t -> t
 
 (** Round key [r] as 16 bytes. *)

@@ -22,9 +22,7 @@ type t = {
   storage : storage;
   base : int;
   mutable block : Aes_block.t;
-  mutable fast_cipher : Mode.cipher; (* host-side twin for the bulk path *)
-  mutable fast_key : Aes.key; (* same schedule, for the fused page kernel *)
-  scratch : Mode.scratch; (* reusable CBC chaining buffers *)
+  mutable fast_key : Aes.key; (* host-side twin schedule, for the bulk page kernel *)
   chain : Bytes.t; (* batch-to-batch chaining block for [transform] *)
   variant : Perf.variant;
 }
@@ -51,15 +49,12 @@ let create machine ~storage ~base ~key =
     | In_iram | In_pinned -> Perf.Onsoc_iram (* SRAM-class timing *)
     | In_locked_l2 -> Perf.Onsoc_locked_l2
   in
-  let expanded = Aes.expand key in
   {
     machine;
     storage;
     base;
     block;
-    fast_cipher = Mode.of_key expanded;
-    fast_key = expanded;
-    scratch = Mode.make_scratch ();
+    fast_key = Aes.expand key;
     chain = Bytes.create 16;
     variant;
   }
@@ -90,6 +85,7 @@ let transform t ~(dir : [ `Encrypt | `Decrypt ]) ~iv data =
      registers and zeroes them on exit.  Batches index straight into
      [data]/[result] — no per-batch slices. *)
   let result = Bytes.create n in
+  let scratch = Mode.make_scratch () in
   let nblocks = n / 16 in
   let pos = ref 0 in
   Bytes.blit iv 0 t.chain 0 16;
@@ -99,10 +95,10 @@ let transform t ~(dir : [ `Encrypt | `Decrypt ]) ~iv data =
     with_protected_registers t ~sensitive:(key_schedule_head t) (fun () ->
         match dir with
         | `Encrypt ->
-            Mode.cbc_encrypt_into ~scratch:t.scratch cipher ~iv:t.chain ~src:data ~src_off:off
+            Mode.cbc_encrypt_into ~scratch cipher ~iv:t.chain ~src:data ~src_off:off
               ~dst:result ~dst_off:off ~len
         | `Decrypt ->
-            Mode.cbc_decrypt_into ~scratch:t.scratch cipher ~iv:t.chain ~src:data ~src_off:off
+            Mode.cbc_decrypt_into ~scratch cipher ~iv:t.chain ~src:data ~src_off:off
               ~dst:result ~dst_off:off ~len);
     (* next batch chains off the last ciphertext block just handled *)
     (match dir with
@@ -115,26 +111,36 @@ let transform t ~(dir : [ `Encrypt | `Decrypt ]) ~iv data =
 let encrypt t ~iv data = transform t ~dir:`Encrypt ~iv data
 let decrypt t ~iv data = transform t ~dir:`Decrypt ~iv data
 
-(** Fast-path bulk transform for the paging engine, scatter-gather
-    flavour: transform the [len]-byte view of [src] into [dst]
-    ([src]/[dst] may alias for in-place work) with the cached native
-    cipher (bit-identical result to the instrumented path) and charge
-    the modeled on-SoC cost.  Register/IRQ discipline is still
-    exercised; no allocation. *)
+(* The host-side page kernel: the fused register-chained CBC of
+   [Aes.cbc_*_into] over the cached schedule.  Decryption runs in
+   place, so an out-of-place decrypt first copies the ciphertext into
+   [dst]. *)
+let kernel t ~(dir : [ `Encrypt | `Decrypt ]) ~iv ~iv_off ~src ~src_off ~dst ~dst_off ~len =
+  match dir with
+  | `Encrypt -> Aes.cbc_encrypt_into t.fast_key ~iv ~iv_off src src_off dst dst_off (len / 16)
+  | `Decrypt ->
+      if src != dst || src_off <> dst_off then Bytes.blit src src_off dst dst_off len;
+      Aes.cbc_decrypt_into t.fast_key ~iv ~iv_off dst dst_off (len / 16)
+
+let check_bulk name ~iv ~iv_off ~len =
+  if iv_off < 0 || iv_off + 16 > Bytes.length iv then invalid_arg (name ^ ": bad IV");
+  if len mod 16 <> 0 then invalid_arg (name ^ ": not block aligned")
+
+(** Bulk transform for the paging engine, scatter-gather flavour:
+    transform the [len]-byte view of [src] into [dst] ([src]/[dst]
+    may alias for in-place work) with the fused host-side kernel
+    (bit-identical result to the instrumented path) and charge the
+    modeled on-SoC cost.  Register/IRQ discipline is still exercised;
+    the cipher itself allocates nothing. *)
 let bulk_into t ~(dir : [ `Encrypt | `Decrypt ]) ~iv ~src ~src_off ~dst ~dst_off ~len =
   if Bytes.length iv <> 16 then invalid_arg "Aes_on_soc.bulk_into: bad IV";
+  check_bulk "Aes_on_soc.bulk_into" ~iv ~iv_off:0 ~len;
   let start_ns = Clock.now (Machine.clock t.machine) in
   with_protected_registers t ~sensitive:(key_schedule_head t) (fun () ->
       (* the modeled transform time elapses inside the bracket: this is
          exactly the window interrupts stay masked (§6.2) *)
       Perf.charge t.machine t.variant ~bytes:len;
-      match dir with
-      | `Encrypt ->
-          Mode.cbc_encrypt_into ~scratch:t.scratch t.fast_cipher ~iv ~src ~src_off ~dst ~dst_off
-            ~len
-      | `Decrypt ->
-          Mode.cbc_decrypt_into ~scratch:t.scratch t.fast_cipher ~iv ~src ~src_off ~dst ~dst_off
-            ~len);
+      kernel t ~dir ~iv ~iv_off:0 ~src ~src_off ~dst ~dst_off ~len);
   if Sentry_obs.Trace.on () then
     Sentry_obs.Trace.span ~cat:Sentry_obs.Event.Crypto ~subsystem:"crypto.aes_on_soc" ~start_ns
       ~end_ns:(Clock.now (Machine.clock t.machine))
@@ -145,48 +151,16 @@ let bulk_into t ~(dir : [ `Encrypt | `Decrypt ]) ~iv ~src ~src_off ~dst ~dst_off
         ]
       (match dir with `Encrypt -> "bulk-encrypt" | `Decrypt -> "bulk-decrypt")
 
-(** Batch-pipeline twin of [bulk_into]: same IV check, same IRQ
-    bracket, same [Perf] charge, same trace span — but the bytes go
-    through the fused register-chained CBC kernel ([Aes.cbc_*_into])
-    instead of the [Mode] wrapper.  For [`Decrypt] the transform is in
-    place over [dst] (so [src]/[src_off] are implied); output is
-    bit-identical to [bulk_into] either way. *)
-let bulk_fused_into t ~(dir : [ `Encrypt | `Decrypt ]) ~iv ~iv_off ~src ~src_off ~dst ~dst_off
-    ~len =
-  if iv_off < 0 || iv_off + 16 > Bytes.length iv then
-    invalid_arg "Aes_on_soc.bulk_fused_into: bad IV";
-  if len mod 16 <> 0 then invalid_arg "Aes_on_soc.bulk_fused_into: not block aligned";
-  let start_ns = Clock.now (Machine.clock t.machine) in
-  with_protected_registers t ~sensitive:(key_schedule_head t) (fun () ->
-      Perf.charge t.machine t.variant ~bytes:len;
-      match dir with
-      | `Encrypt -> Aes.cbc_encrypt_into t.fast_key ~iv ~iv_off src src_off dst dst_off (len / 16)
-      | `Decrypt -> Aes.cbc_decrypt_into t.fast_key ~iv ~iv_off dst dst_off (len / 16));
-  if Sentry_obs.Trace.on () then
-    Sentry_obs.Trace.span ~cat:Sentry_obs.Event.Crypto ~subsystem:"crypto.aes_on_soc" ~start_ns
-      ~end_ns:(Clock.now (Machine.clock t.machine))
-      ~args:
-        [
-          ("storage", Sentry_obs.Event.Str (storage_name t.storage));
-          ("bytes", Sentry_obs.Event.Int len);
-        ]
-      (match dir with `Encrypt -> "bulk-encrypt" | `Decrypt -> "bulk-decrypt")
-
-(** Host-side transform only: the same fused page kernel as
-    [bulk_fused_into] but with no [Perf.charge] and no IRQ bracket.
-    For engine models that account simulated time/energy themselves —
-    the [Offload_engine] command queue — while ciphertext must stay
-    bit-identical to the CPU path.  The key never transits CPU
-    registers here (it lives in the engine), so there is nothing to
-    protect with an IRQ window. *)
+(** Host-side transform only: the same page kernel as [bulk_into] but
+    with no [Perf.charge] and no IRQ bracket.  For engine models that
+    account simulated time/energy themselves — the [Offload_engine]
+    command queue — while ciphertext must stay bit-identical to the
+    CPU path.  The key never transits CPU registers here (it lives in
+    the engine), so there is nothing to protect with an IRQ window. *)
 let bulk_fused_raw t ~(dir : [ `Encrypt | `Decrypt ]) ~iv ~iv_off ~src ~src_off ~dst ~dst_off
     ~len =
-  if iv_off < 0 || iv_off + 16 > Bytes.length iv then
-    invalid_arg "Aes_on_soc.bulk_fused_raw: bad IV";
-  if len mod 16 <> 0 then invalid_arg "Aes_on_soc.bulk_fused_raw: not block aligned";
-  match dir with
-  | `Encrypt -> Aes.cbc_encrypt_into t.fast_key ~iv ~iv_off src src_off dst dst_off (len / 16)
-  | `Decrypt -> Aes.cbc_decrypt_into t.fast_key ~iv ~iv_off dst dst_off (len / 16)
+  check_bulk "Aes_on_soc.bulk_fused_raw" ~iv ~iv_off ~len;
+  kernel t ~dir ~iv ~iv_off ~src ~src_off ~dst ~dst_off ~len
 
 (** Allocating wrapper over [bulk_into]; identical cost and trace. *)
 let bulk t ~(dir : [ `Encrypt | `Decrypt ]) ~iv data =
@@ -196,14 +170,12 @@ let bulk t ~(dir : [ `Encrypt | `Decrypt ]) ~iv data =
   out
 
 (** Re-key: rewrites the on-SoC context and the cached bulk-path
-    cipher together, so [bulk]/[bulk_into] never run a stale key. *)
+    schedule together, so [bulk]/[bulk_into] never run a stale key. *)
 let set_key t key =
   t.block <-
     Machine.with_taint t.machine Taint.Secret_cleartext (fun () ->
         Aes_block.init t.block.Aes_block.acc ~key);
-  let expanded = Aes.expand key in
-  t.fast_cipher <- Mode.of_key expanded;
-  t.fast_key <- expanded
+  t.fast_key <- Aes.expand key
 
 (** Register with a [Crypto_api] {e above} the generic cipher and any
     accelerator driver, so legacy Crypto-API users (dm-crypt) pick up

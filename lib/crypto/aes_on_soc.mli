@@ -38,9 +38,10 @@ val bulk : t -> dir:[ `Encrypt | `Decrypt ] -> iv:Bytes.t -> Bytes.t -> Bytes.t
 
 (** Scatter-gather bulk path: transform the [len]-byte view of [src]
     at [src_off] into [dst] at [dst_off] ([src]/[dst] may alias for
-    in-place work) with the cached cipher and reusable scratch — no
-    allocation.  [bulk] is implemented on top; identical cost and
-    trace. *)
+    in-place work) with the fused register-chained CBC page kernel
+    ([Aes.cbc_*_into]) over the cached schedule, charging the modeled
+    on-SoC cost inside the IRQ bracket.  The IV is exactly 16 bytes.
+    [bulk] is implemented on top; identical cost and trace. *)
 val bulk_into :
   t ->
   dir:[ `Encrypt | `Decrypt ] ->
@@ -52,26 +53,7 @@ val bulk_into :
   len:int ->
   unit
 
-(** Batch-pipeline twin of [bulk_into]: identical IRQ bracket, modeled
-    charge and trace span, but the bytes run through the fused
-    register-chained CBC page kernel ([Aes.cbc_*_into]) instead of the
-    [Mode] wrapper.  [`Decrypt] transforms [dst] in place ([src] is
-    ignored); output is bit-identical to [bulk_into].  [iv_off] gives
-    the 16-byte IV's offset inside [iv] so callers can reuse one IV
-    buffer across a batch. *)
-val bulk_fused_into :
-  t ->
-  dir:[ `Encrypt | `Decrypt ] ->
-  iv:Bytes.t ->
-  iv_off:int ->
-  src:Bytes.t ->
-  src_off:int ->
-  dst:Bytes.t ->
-  dst_off:int ->
-  len:int ->
-  unit
-
-(** Host-side transform only — same fused kernel as [bulk_fused_into]
+(** Host-side transform only — same page kernel as [bulk_into]
     with no [Perf.charge] and no IRQ bracket, for engine models
     ([Offload_engine]) that account simulated time/energy themselves
     while ciphertext must stay bit-identical to the CPU path. *)

@@ -42,7 +42,14 @@ let td_entry x = (Gf256.mul 14 x, Gf256.mul 9 x, Gf256.mul 13 x, Gf256.mul 11 x)
 let pack (b0, b1, b2, b3) = (b0 lsl 24) lor (b1 lsl 16) lor (b2 lsl 8) lor b3
 
 let te_words = Array.init 256 (fun x -> pack (te_entry x))
-let td_words = Array.init 256 (fun x -> pack (td_entry x))
+
+(* Host-side decryption round table for the equivalent inverse cipher
+   (FIPS-197 §5.3.5): entry [x] is the InvMixColumns column of
+   [inv_sbox x], i.e. [td_entry] composed with the inverse S-box, so
+   one lookup does InvSubBytes and InvMixColumns together.  Only the
+   fast cipher uses it; the simulated on-SoC context keeps the
+   Table 4 layout ([td_bytes] and [inv_sbox_bytes]). *)
+let td_sbox_words = Array.init 256 (fun x -> pack (td_entry inv_sbox.(x)))
 
 (* Byte-rotated copies of the round tables.  A textbook T-table round
    computes [te x], [ror8 (te y)], [ror16 (te z)], [ror24 (te w)]; the
@@ -54,9 +61,9 @@ let ror8 w = ((w lsr 8) lor ((w land 0xff) lsl 24)) land 0xffffffff
 let te_words_r8 = Array.map ror8 te_words
 let te_words_r16 = Array.map ror8 te_words_r8
 let te_words_r24 = Array.map ror8 te_words_r16
-let td_words_r8 = Array.map ror8 td_words
-let td_words_r16 = Array.map ror8 td_words_r8
-let td_words_r24 = Array.map ror8 td_words_r16
+let td_sbox_words_r8 = Array.map ror8 td_sbox_words
+let td_sbox_words_r16 = Array.map ror8 td_sbox_words_r8
+let td_sbox_words_r24 = Array.map ror8 td_sbox_words_r16
 
 (** Serialised forms used to place the tables in simulated memory for
     the instrumented cipher.  Entry [x] occupies bytes [4x..4x+3]. *)

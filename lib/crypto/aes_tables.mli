@@ -17,21 +17,26 @@ val te_entry : int -> int * int * int * int
     (14x, 9x, 13x, 11x). *)
 val td_entry : int -> int * int * int * int
 
-(** Word-packed copies for the fast cipher (byte 0 most significant). *)
+(** Word-packed copy of [te_entry] for the fast cipher (byte 0 most
+    significant). *)
 val te_words : int array
 
-val td_words : int array
+(** Decryption table of the fast cipher's equivalent inverse cipher
+    (FIPS-197 §5.3.5): entry [x] is [td_entry (inv_sbox x)] packed,
+    merging InvSubBytes and InvMixColumns into one lookup.  Host-side
+    only: the simulated context keeps [td_bytes] (Table 4). *)
+val td_sbox_words : int array
 
-(** Byte-rotated copies of [te_words]/[td_words] (by 8, 16 and 24
-    bits) so the fast cipher's inner loop is pure table lookups with
-    no rotation work.  Derived at startup; never secret. *)
+(** Byte-rotated copies of [te_words]/[td_sbox_words] (by 8, 16 and
+    24 bits) so the fast cipher's inner loop is pure table lookups
+    with no rotation work.  Derived at startup; never secret. *)
 val te_words_r8 : int array
 
 val te_words_r16 : int array
 val te_words_r24 : int array
-val td_words_r8 : int array
-val td_words_r16 : int array
-val td_words_r24 : int array
+val td_sbox_words_r8 : int array
+val td_sbox_words_r16 : int array
+val td_sbox_words_r24 : int array
 
 (** Serialised forms placed in (simulated) memory by the instrumented
     cipher; entry [x] occupies bytes [4x..4x+3]. *)

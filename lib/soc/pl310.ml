@@ -383,168 +383,157 @@ let write t ?taint addr b = write_from t ?taint addr b ~off:0 ~len:(Bytes.length
 let run_fast_ok t =
   (not (Sentry_obs.Trace.on ())) && t.on_writeback = None && not (Bus.monitored (Dram.bus t.dram))
 
+(* Victim write-back on the run fast path: [write_back] with the hook
+   known absent and tracing known off, against the hoisted DRAM
+   backing store [raw] (based at [dbase]) and its shadow. *)
+let run_write_back t raw dbase dshadow l w set =
+  let wb_addr = (l.tag lsl t.tag_shift) lor (set lsl t.set_shift) in
+  Bytes.unsafe_blit l.data 0 raw (wb_addr - dbase) t.line_size;
+  (match dshadow with
+  | Some ds -> (
+      match t.shadows with
+      | Some s ->
+          Bytes.unsafe_blit (Array.unsafe_get (Array.unsafe_get s w) set) 0 ds (wb_addr - dbase)
+            t.line_size
+      | None -> Taint.fill ds (wb_addr - dbase) t.line_size Taint.Public)
+  | None -> ());
+  Bus.account (Dram.bus t.dram) Bus.Write t.line_size;
+  Clock.advance t.clock Calib.dram_line_ns;
+  l.dirty <- false;
+  t.stats.writebacks <- t.stats.writebacks + 1
+
+(* The generic path validates DRAM lazily per access; the run paths
+   validate the {e whole} line-rounded run at their first DRAM touch
+   instead (the powered check is equivalent — power cannot change
+   mid-run; an all-hit run still never validates).  Only error paths
+   can tell: a run extending past the end of DRAM raises at the first
+   miss, not at the offending line. *)
+let validate_run t addr len =
+  let line_mask = t.line_size - 1 in
+  let run_base = addr land lnot line_mask in
+  Dram.validate t.dram run_base (((addr + len - 1) lor line_mask) + 1 - run_base)
+
 (* The tight loop.  [any_unlocked] is the hoisted
    [count_unlocked t 0 0 > 0] (the lockdown register cannot change
    inside a run).  Per-line behaviour mirrors [access_chunk] exactly
    — same stats/clock/energy/bus/blit/victim sequence; see the
    charge-order comments there.  Everything loop-invariant (geometry,
-   the DRAM backing store and its shadow, the lockdown mask, the stats
-   and charging handles) lives in locals, and array/bytes accesses are
-   unsafe: set/way indices are masked or register-bounded, line
-   offsets bounded by the chunk computation, the caller view by
-   [check_view], and DRAM offsets by the one-shot whole-run
-   [Dram.validate] below (write-back addresses are in range by
-   construction — tags only ever come from in-range fills).
-
-   The generic path validates DRAM lazily per miss; here the first
-   DRAM touch validates the {e whole} run instead (the powered check
-   is equivalent — power cannot change mid-run; an all-hit run still
-   never validates).  Only error paths can tell: a run extending past
-   the end of DRAM raises at the first miss, not at the offending
-   line. *)
+   the DRAM backing store and its shadow, the stats and charging
+   handles) lives in locals, and array/bytes accesses are unsafe:
+   set/way indices are masked or register-bounded, line offsets
+   bounded by the chunk computation, the caller view by [check_view],
+   and DRAM offsets by [validate_run] (write-back addresses are in
+   range by construction — tags only ever come from in-range fills).
+   The loop state lives in local refs no closure captures, and the way
+   searches are the top-level [scan_ways]/[find_invalid]/
+   [next_unlocked], so a run allocates nothing. *)
 let run_chunks t ~any_unlocked ~write ~taint buf buf_off0 addr0 len0 =
   let lines = t.lines and rr = t.rr and last_way = t.last_way and stats = t.stats in
   let clock = t.clock and meter = t.meter and shadows = t.shadows in
   let line_size = t.line_size and set_shift = t.set_shift and tag_shift = t.tag_shift in
   let set_mask = t.sets - 1 and line_mask = t.line_size - 1 in
-  let nways = t.ways and lockdown = t.lockdown and fill_ns = t.fill_ns in
+  let nways = t.ways and fill_ns = t.fill_ns in
   let raw = Dram.raw t.dram in
   let dbase = (Dram.region t.dram).Memmap.base in
   let bus = Dram.bus t.dram in
   let dshadow = Dram.shadow t.dram in
   let validated = ref false in
-  let ensure_valid () =
-    if not !validated then begin
-      let run_base = addr0 land lnot line_mask in
-      Dram.validate t.dram run_base (((addr0 + len0 - 1) lor line_mask) + 1 - run_base);
-      validated := true
-    end
-  in
-  let uline w set = Array.unsafe_get (Array.unsafe_get lines w) set in
-  let ushadow s w set = Array.unsafe_get (Array.unsafe_get s w) set in
-  let rec scan set tag w =
-    if w = nways then -1
-    else
-      let l = uline w set in
-      if l.valid && l.tag = tag then begin
-        Array.unsafe_set last_way set w;
-        w
+  let buf_off = ref buf_off0 and addr = ref addr0 and len = ref len0 in
+  while !len > 0 do
+    let a = !addr and bo = !buf_off in
+    let off_in_line = a land line_mask in
+    let chunk = let c = line_size - off_in_line in if c < !len then c else !len in
+    let set = (a lsr set_shift) land set_mask in
+    let tag = a lsr tag_shift in
+    let m = Array.unsafe_get last_way set in
+    let lm = Array.unsafe_get (Array.unsafe_get lines m) set in
+    let w = if lm.valid && lm.tag = tag then m else scan_ways t set tag 0 in
+    if w >= 0 then begin
+      (* hit: [charge_hit] + [store_chunk] *)
+      stats.hits <- stats.hits + 1;
+      Clock.advance clock Calib.l2_hit_line_ns;
+      Energy.meter_charge_bytes meter ~per_byte_j:Calib.onsoc_byte_j line_size;
+      let l = Array.unsafe_get (Array.unsafe_get lines w) set in
+      if write then begin
+        Bytes.unsafe_blit buf bo l.data off_in_line chunk;
+        (match shadows with
+        | Some s -> Taint.fill (Array.unsafe_get (Array.unsafe_get s w) set) off_in_line chunk taint
+        | None -> ());
+        l.dirty <- true
       end
-      else scan set tag (w + 1)
-  in
-  let rec find_inv set w =
-    if w = nways then -1
-    else if lockdown land (1 lsl w) = 0 && not (uline w set).valid then w
-    else find_inv set (w + 1)
-  in
-  let rec next_unl w =
-    let w = if w >= nways then w - nways else w in
-    if lockdown land (1 lsl w) = 0 then w else next_unl (w + 1)
-  in
-  let rec go buf_off addr len =
-    if len > 0 then begin
-      let off_in_line = addr land line_mask in
-      let chunk = let c = line_size - off_in_line in if c < len then c else len in
-      let set = (addr lsr set_shift) land set_mask in
-      let tag = addr lsr tag_shift in
-      let m = Array.unsafe_get last_way set in
-      let lm = uline m set in
-      let w = if lm.valid && lm.tag = tag then m else scan set tag 0 in
-      if w >= 0 then begin
-        (* hit: [charge_hit] + [store_chunk] *)
-        stats.hits <- stats.hits + 1;
-        Clock.advance clock Calib.l2_hit_line_ns;
-        Energy.meter_charge_bytes meter ~per_byte_j:Calib.onsoc_byte_j line_size;
-        let l = uline w set in
+      else Bytes.unsafe_blit l.data off_in_line buf bo chunk
+    end
+    else begin
+      stats.misses <- stats.misses + 1;
+      let w =
+        let inv = find_invalid t set 0 in
+        if inv >= 0 then inv
+        else if not any_unlocked then -1
+        else begin
+          let w = next_unlocked t (Array.unsafe_get rr set) in
+          Array.unsafe_set rr set (if w + 1 = nways then 0 else w + 1);
+          w
+        end
+      in
+      if w < 0 then begin
+        (* allocation impossible: uncached DRAM access (generic
+           path's bypass branch, trace already known off) *)
+        stats.bypasses <- stats.bypasses + 1;
+        Clock.advance clock Calib.dram_line_ns;
+        if not !validated then begin
+          validate_run t addr0 len0;
+          validated := true
+        end;
         if write then begin
-          Bytes.unsafe_blit buf buf_off l.data off_in_line chunk;
+          Bytes.unsafe_blit buf bo raw (a - dbase) chunk;
+          (match dshadow with
+          | Some ds -> Taint.fill ds (a - dbase) chunk taint
+          | None -> ());
+          Bus.account bus Bus.Write chunk
+        end
+        else begin
+          Bytes.unsafe_blit raw (a - dbase) buf bo chunk;
+          Bus.account bus Bus.Read chunk
+        end
+      end
+      else begin
+        if not !validated then begin
+          validate_run t addr0 len0;
+          validated := true
+        end;
+        let l = Array.unsafe_get (Array.unsafe_get lines w) set in
+        if l.valid && l.dirty then run_write_back t raw dbase dshadow l w set;
+        (* line fill: identical to [fill_way]'s read + shadow + flags *)
+        let base = a land lnot line_mask in
+        Bytes.unsafe_blit raw (base - dbase) l.data 0 line_size;
+        Bus.account bus Bus.Read line_size;
+        (match shadows with
+        | Some s -> (
+            let sh = Array.unsafe_get (Array.unsafe_get s w) set in
+            match dshadow with
+            | Some ds -> Bytes.unsafe_blit ds (base - dbase) sh 0 line_size
+            | None -> Taint.fill sh 0 line_size Taint.Public)
+        | None -> ());
+        l.valid <- true;
+        l.dirty <- false;
+        l.tag <- tag;
+        Array.unsafe_set last_way set w;
+        Clock.advance clock fill_ns;
+        (* the [store_chunk] of the generic miss path *)
+        if write then begin
+          Bytes.unsafe_blit buf bo l.data off_in_line chunk;
           (match shadows with
-          | Some s -> Taint.fill (ushadow s w set) off_in_line chunk taint
+          | Some s -> Taint.fill (Array.unsafe_get (Array.unsafe_get s w) set) off_in_line chunk taint
           | None -> ());
           l.dirty <- true
         end
-        else Bytes.unsafe_blit l.data off_in_line buf buf_off chunk
+        else Bytes.unsafe_blit l.data off_in_line buf bo chunk
       end
-      else begin
-        stats.misses <- stats.misses + 1;
-        let w =
-          let inv = find_inv set 0 in
-          if inv >= 0 then inv
-          else if not any_unlocked then -1
-          else begin
-            let w = next_unl (Array.unsafe_get rr set) in
-            Array.unsafe_set rr set (if w + 1 = nways then 0 else w + 1);
-            w
-          end
-        in
-        if w < 0 then begin
-          (* allocation impossible: uncached DRAM access (generic
-             path's bypass branch, trace already known off) *)
-          stats.bypasses <- stats.bypasses + 1;
-          Clock.advance clock Calib.dram_line_ns;
-          ensure_valid ();
-          if write then begin
-            Bytes.unsafe_blit buf buf_off raw (addr - dbase) chunk;
-            (match dshadow with
-            | Some ds -> Taint.fill ds (addr - dbase) chunk taint
-            | None -> ());
-            Bus.account bus Bus.Write chunk
-          end
-          else begin
-            Bytes.unsafe_blit raw (addr - dbase) buf buf_off chunk;
-            Bus.account bus Bus.Read chunk
-          end
-        end
-        else begin
-          let l = uline w set in
-          (* victim write-back: identical to [write_back] (hook known
-             None) *)
-          if l.valid && l.dirty then begin
-            let wb_addr = (l.tag lsl tag_shift) lor (set lsl set_shift) in
-            ensure_valid ();
-            Bytes.unsafe_blit l.data 0 raw (wb_addr - dbase) line_size;
-            (match dshadow with
-            | Some ds -> (
-                match shadows with
-                | Some s -> Bytes.unsafe_blit (ushadow s w set) 0 ds (wb_addr - dbase) line_size
-                | None -> Taint.fill ds (wb_addr - dbase) line_size Taint.Public)
-            | None -> ());
-            Bus.account bus Bus.Write line_size;
-            Clock.advance clock Calib.dram_line_ns;
-            l.dirty <- false;
-            stats.writebacks <- stats.writebacks + 1
-          end;
-          (* line fill: identical to [fill_way]'s read + shadow + flags *)
-          let base = addr land lnot line_mask in
-          ensure_valid ();
-          Bytes.unsafe_blit raw (base - dbase) l.data 0 line_size;
-          Bus.account bus Bus.Read line_size;
-          (match shadows with
-          | Some s -> (
-              match dshadow with
-              | Some ds -> Bytes.unsafe_blit ds (base - dbase) (ushadow s w set) 0 line_size
-              | None -> Taint.fill (ushadow s w set) 0 line_size Taint.Public)
-          | None -> ());
-          l.valid <- true;
-          l.dirty <- false;
-          l.tag <- tag;
-          Array.unsafe_set last_way set w;
-          Clock.advance clock fill_ns;
-          (* the [store_chunk] of the generic miss path *)
-          if write then begin
-            Bytes.unsafe_blit buf buf_off l.data off_in_line chunk;
-            (match shadows with
-            | Some s -> Taint.fill (ushadow s w set) off_in_line chunk taint
-            | None -> ());
-            l.dirty <- true
-          end
-          else Bytes.unsafe_blit l.data off_in_line buf buf_off chunk
-        end
-      end;
-      go (buf_off + chunk) (addr + chunk) (len - chunk)
-    end
-  in
-  go buf_off0 addr0 len0
+    end;
+    buf_off := bo + chunk;
+    addr := a + chunk;
+    len := !len - chunk
+  done
 
 (** [read_run_into t addr buf ~off ~len] — the batched pipeline's
     page-run read: bit-identical simulated state evolution to

@@ -364,6 +364,98 @@ let test_batch_allocation_ceiling () =
     Alcotest.failf "batched lock/unlock allocated %.1f minor words per page (ceiling 512)"
       per_page
 
+(* One lazy fault — young-bit trap, fail-secure handler, page
+   decrypt — stays under a fixed allocation ceiling.  What remains is
+   the IRQ bracket's closures and register image, the taint bracket
+   and the charge's float boxes: about 75 words a fault on a 64-bit
+   host with OCaml 5.1 (the generic-path handler took about 79). *)
+let lazy_fault_ceiling = 96.0
+
+let test_lazy_fault_allocation_ceiling () =
+  let system, sentry, procs =
+    build ~config:(Config.default `Tegra3) ~pipeline:Sentry.Batched ()
+  in
+  ignore (Sentry.lock sentry : Encrypt_on_lock.stats);
+  (match Sentry.unlock sentry ~pin:(Sentry.config sentry).Config.pin with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "unlock failed");
+  let faulting =
+    List.concat_map
+      (fun (proc : Process.t) ->
+        List.concat_map
+          (fun r ->
+            List.filter_map
+              (fun (vpn, (pte : Page_table.pte)) ->
+                if pte.Page_table.encrypted then Some (proc, vpn * Page.size) else None)
+              (Address_space.region_ptes proc.Process.aspace r))
+          (Address_space.regions proc.Process.aspace))
+      procs
+  in
+  match faulting with
+  | [] | [ _ ] -> Alcotest.fail "workload left too few lazy pages"
+  | (p0, va0) :: rest ->
+      Vm.touch system.System.vm p0 ~vaddr:va0 (* warm-up *);
+      let mw0 = Gc.minor_words () in
+      List.iter (fun (proc, vaddr) -> Vm.touch system.System.vm proc ~vaddr) rest;
+      let per_fault = (Gc.minor_words () -. mw0) /. float_of_int (List.length rest) in
+      if per_fault > lazy_fault_ceiling then
+        Alcotest.failf "one lazy fault allocated %.1f minor words (ceiling %.0f)" per_fault
+          lazy_fault_ceiling
+
+(* ------------------ lazy fault path differential ------------------ *)
+
+(* The lazy fault's page decrypt before it joined [Page_crypt]'s one
+   transform, kept as the oracle: per-line generic memory path
+   ([Machine.read_into]/[write_from]), the IV from the allocating
+   [Page_crypt.iv], and the cipher through [Aes_on_soc.bulk] (the same
+   IRQ bracket, charge and span as [bulk_into], out of place).  Same
+   fault hooks, same fail-secure handler around it. *)
+let oracle_fault_handler sentry : Vm.fault_handler =
+  let m = System.machine (Sentry.system sentry) in
+  let pc = Sentry.page_crypt sentry and aes = Sentry.aes sentry in
+  fun proc ~vaddr pte ->
+    if pte.Page_table.encrypted then begin
+      pte.Page_table.encrypted <- false;
+      let frame = pte.Page_table.frame in
+      let buf = Bytes.create Page.size in
+      Machine.read_into m frame buf ~off:0 ~len:Page.size;
+      Injector.fire Injector.Points.frame_transform;
+      let iv = Page_crypt.iv pc ~pid:proc.Process.pid ~vpn:(Page.vpn_of vaddr) in
+      let clear = Sentry_crypto.Aes_on_soc.bulk aes ~dir:`Decrypt ~iv buf in
+      Machine.with_taint m Taint.Secret_cleartext (fun () ->
+          Machine.write_from m frame clear ~off:0 ~len:Page.size);
+      Injector.fire Injector.Points.page_decrypted
+    end;
+    pte.Page_table.no_access <- false;
+    pte.Page_table.young <- true
+
+(* Twin systems lock and unlock alike; then every lazy fault runs
+   through [Page_crypt.decrypt_frame] on one and through the oracle on
+   the other.  DRAM, taint shadow, L2 and bus statistics, clock,
+   energy and PTEs must match bit for bit, taint on and off.  (The
+   oracle does not bump [Page_crypt]'s byte counters, so those are
+   left out.) *)
+let test_fault_path_differential () =
+  List.iter
+    (fun track_taint ->
+      let config = { (Config.default `Tegra3) with Config.track_taint } in
+      let twin ~oracle =
+        let system, sentry, procs = build ~config ~pipeline:Sentry.Batched () in
+        ignore (Sentry.lock sentry : Encrypt_on_lock.stats);
+        (match Sentry.unlock sentry ~pin:(Sentry.config sentry).Config.pin with
+        | Ok _ -> ()
+        | Error _ -> Alcotest.fail "unlock failed");
+        if oracle then Vm.set_fault_handler system.System.vm (oracle_fault_handler sentry);
+        touch_all system procs;
+        (fingerprint system sentry procs, Bus.stats (Machine.bus (System.machine system)))
+      in
+      let fp_new, bus_new = twin ~oracle:false and fp_old, bus_old = twin ~oracle:true in
+      let label = Printf.sprintf "lazy faults (taint %b)" track_taint in
+      check_fp label { fp_new with crypt = (0, 0) } { fp_old with crypt = (0, 0) };
+      checkb (label ^ ": bus counters identical") true (bus_new = bus_old);
+      checkb (label ^ ": faults decrypted pages") true (snd fp_new.crypt > 0))
+    [ true; false ]
+
 (* -------------- run-granule memory path differential -------------- *)
 
 (* [Machine.read_run_into]/[write_run_from] (the batch engine's
@@ -414,6 +506,7 @@ let () =
           Alcotest.test_case "shuffled layout (semantic)" `Quick test_shuffled_semantic;
           Alcotest.test_case "attack verdicts" `Quick test_attack_verdicts_agree;
           Alcotest.test_case "run memory path" `Quick test_run_path_differential;
+          Alcotest.test_case "lazy fault path" `Quick test_fault_path_differential;
         ] );
       ( "journal",
         [
@@ -426,5 +519,8 @@ let () =
           Alcotest.test_case "eager DMA coherence" `Quick test_eager_dma_coherence;
         ] );
       ( "allocation",
-        [ Alcotest.test_case "batched cycle ceiling" `Quick test_batch_allocation_ceiling ] );
+        [
+          Alcotest.test_case "batched cycle ceiling" `Quick test_batch_allocation_ceiling;
+          Alcotest.test_case "lazy fault ceiling" `Quick test_lazy_fault_allocation_ceiling;
+        ] );
     ]

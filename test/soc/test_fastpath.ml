@@ -143,6 +143,35 @@ let test_warm_path_allocation_ceiling () =
   if per_page > 64.0 then
     Alcotest.failf "warm 4 KB access allocated %.1f minor words (ceiling 64)" per_page
 
+(* Hard gate: the run path allocates nothing, taint on or off, on
+   hits and on misses that fill lines and write dirty victims back
+   (the strided pages below overflow the 1 MiB L2 many times). *)
+let test_run_path_allocation_free () =
+  List.iter
+    (fun taint ->
+      let m = mk () in
+      if taint then Machine.enable_taint m;
+      let l2 = Machine.l2 m in
+      let base = (Machine.dram_region m).Memmap.base in
+      let buf = Bytes.make 4096 'r' in
+      let page i = base + (i mod 64 * 48 * 1024) in
+      Pl310.write_run_from l2 ~taint:Taint.Ciphertext (page 0) buf ~off:0 ~len:4096;
+      Pl310.read_run_into l2 (page 0) buf ~off:0 ~len:4096;
+      let mw0 = Gc.minor_words () in
+      for i = 1 to 128 do
+        Pl310.read_run_into l2 (page i) buf ~off:0 ~len:4096
+      done;
+      let read_words = Gc.minor_words () -. mw0 in
+      let mw0 = Gc.minor_words () in
+      for i = 1 to 128 do
+        Pl310.write_run_from l2 ~taint:Taint.Ciphertext (page i) buf ~off:0 ~len:4096
+      done;
+      let write_words = Gc.minor_words () -. mw0 in
+      if read_words > 0.0 || write_words > 0.0 then
+        Alcotest.failf "run path allocated over 128 pages (taint %b): read %.0f, write %.0f words"
+          taint read_words write_words)
+    [ false; true ]
+
 (* ------------------------- remanence draw ------------------------ *)
 
 (* The per-byte decay loop [Dram.power_cycle] ran before the bulk
@@ -224,6 +253,7 @@ let () =
         [
           Alcotest.test_case "warm path ceiling" `Quick test_warm_path_allocation_ceiling;
           Alcotest.test_case "power cycle ceiling" `Quick test_power_cycle_allocation_ceiling;
+          Alcotest.test_case "run path allocation free" `Quick test_run_path_allocation_free;
         ] );
       ( "remanence",
         [ Alcotest.test_case "power cycle = per-byte flip" `Quick test_power_cycle_matches_reference ] );
