@@ -72,7 +72,7 @@ let fault_handler_no_access pc : Vm.fault_handler =
 (* Pre-DMA coherence maintenance for an eagerly-decrypted DMA region:
    devices read these frames physically, bypassing the cache, so the
    decrypted lines must be cleaned out to DRAM.  Frames are sorted and
-   contiguous runs coalesced into a single [clean_invalidate_range]
+   contiguous runs coalesced into a single [clean_invalidate_run]
    sweep each — the same line set as a per-page sweep (maintenance
    charges are per dirty line, so the simulated cost is identical),
    without the per-page call overhead. *)
@@ -94,7 +94,7 @@ let dma_coherence_sweep machine ptes =
           | tl -> (last, tl)
         in
         let last, rest = extend first rest in
-        Pl310.clean_invalidate_range l2 first (last + Page.size - first);
+        Pl310.clean_invalidate_run l2 first (last + Page.size - first);
         sweep rest
   in
   sweep frames;

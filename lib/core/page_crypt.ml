@@ -71,7 +71,7 @@ let trace_frame t name ~pid ~vpn ~frame =
    offload engine: cached run-path read into the reused staging
    buffer, counter, mid-call fault hook, IV into the reused IV
    buffer, the fused cipher kernel in place, then the taint-labelled
-   write-back.  Passing through the cipher relabels the bytes:
+   write-back — for an encrypt, cleaned out to DRAM.  Passing through the cipher relabels the bytes:
    [Ciphertext] on the way in, [Secret_cleartext] on the way out.
    With [~offload] the cipher runs host-side only and the page is a
    command on the [Offload_engine] queue, which accounts its
@@ -98,7 +98,16 @@ let transform t ~offload ~(dir : [ `Encrypt | `Decrypt ]) ~pid ~vpn ~frame =
       ~dst_off:0 ~len:Page.size;
   let level = match dir with `Encrypt -> Taint.Ciphertext | `Decrypt -> Taint.Secret_cleartext in
   Machine.with_taint t.machine level (fun () ->
-      Machine.write_run_from t.machine frame t.page_buf ~off:0 ~len:Page.size)
+      Machine.write_run_from t.machine frame t.page_buf ~off:0 ~len:Page.size);
+  match dir with
+  | `Encrypt ->
+      (* the ciphertext goes to DRAM before the caller commits the page
+         (PTE bit, journal record): a crash drops dirty L2 lines, so a
+         page committed with its ciphertext still in the cache would
+         come back as the cleartext DRAM held, and recovery, trusting
+         the PTE, would skip it *)
+      Pl310.clean_invalidate_run (Machine.l2 t.machine) frame Page.size
+  | `Decrypt -> ()
 
 (** Encrypt a frame in place (lock path).  The caller's [commit] (PTE
     flag + journal record) belongs to the same crash unit as the

@@ -648,6 +648,37 @@ let clean_invalidate_range t addr len =
           t.lines.(w).(set).valid <- false
       | Some _ | None -> ())
 
+(** [clean_invalidate_run t addr len] — [clean_invalidate_range] on
+    the run fast path: the same lines written back and dropped, in the
+    same order, with the same charges, but as one loop over
+    [lookup_way] with no option or closure per line.  Falls back to
+    [clean_invalidate_range] whenever tracing, a bus monitor or a
+    write-back hook could observe the call shape. *)
+let clean_invalidate_run t addr len =
+  if not (run_fast_ok t) then clean_invalidate_range t addr len
+  else if len > 0 then begin
+    let raw = Dram.raw t.dram and dbase = (Dram.region t.dram).Memmap.base in
+    let dshadow = Dram.shadow t.dram in
+    let validated = ref false in
+    let a = ref (line_base t addr) in
+    while !a < addr + len do
+      let w = lookup_way t !a in
+      if w >= 0 && t.flush_mask land (1 lsl w) = 0 then begin
+        let set = set_of_addr t !a in
+        let l = t.lines.(w).(set) in
+        if l.dirty then begin
+          if not !validated then begin
+            validate_run t addr len;
+            validated := true
+          end;
+          run_write_back t raw dbase dshadow l w set
+        end;
+        l.valid <- false
+      end;
+      a := !a + t.line_size
+    done
+  end
+
 (** Invalidate without cleaning (used before incoming DMA writes so
     the CPU does not read stale lines).  Locked/masked ways are
     skipped. *)

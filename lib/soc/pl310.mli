@@ -129,6 +129,11 @@ val flush_all_stock : t -> unit
     mask. *)
 val clean_invalidate_range : t -> int -> int -> unit
 
+(** [clean_invalidate_run t addr len] — [clean_invalidate_range] with
+    bit-identical simulated effects, allocation-free: the lock walk's
+    per-page clean and the DMA coherence sweep. *)
+val clean_invalidate_run : t -> int -> int -> unit
+
 (** Invalidate without cleaning (before incoming DMA); locked/masked
     ways are skipped. *)
 val invalidate_range : t -> int -> int -> unit

@@ -206,9 +206,9 @@ let test_bit_flips_corrupt_dram () =
 
 (* ----------------------- crash-consistent pipeline ----------------- *)
 
-let fresh_sentry () =
+let fresh_sentry ?dram_size () =
   Process.reset_pids ();
-  let system = System.boot `Nexus4 ~seed:42 in
+  let system = System.boot `Nexus4 ~seed:42 ?dram_size in
   let config = { (Config.default `Nexus4) with Config.track_taint = true; journal = true } in
   let sentry = Sentry.install system config in
   let app = Fault_scenario.spawn_workload system sentry in
@@ -520,6 +520,53 @@ let test_recover_noop_when_consistent () =
   ignore (Sentry.lock sentry);
   checkb "nothing to recover when locked" true (Sentry.recover sentry = None)
 
+(** The written-back fill: on a device that has run a while the
+    sensitive pages are in DRAM, not only in dirty L2 lines (modelled
+    by a masked flush after the fill).  A crash mid-walk — a watchdog
+    reset, or a short power cut — then recovery must still leave no
+    cleartext for a cold-boot image.  The walk used to commit each
+    page (PTE bit, journal record) while its ciphertext sat dirty in
+    the L2: the reboot dropped the ciphertext, DRAM kept the
+    cleartext, and recovery skipped the pages it believed encrypted,
+    so the secret leaked while the device reported [Locked] with a
+    clean audit.  Crashes at both walk hooks, several occurrences,
+    every crypto backend. *)
+let test_written_back_fill_crash () =
+  List.iter
+    (fun backend ->
+      List.iter
+        (fun point ->
+          List.iter
+            (fun k ->
+              List.iter
+                (fun (reboot, reboot_name) ->
+                  let system, sentry, _app = fresh_sentry ~dram_size:(8 * Units.mib) () in
+                  Sentry.set_backend sentry backend;
+                  let machine = System.machine system in
+                  Pl310.flush_masked (Machine.l2 machine);
+                  Injector.arm (one ~point ~kind:Fault.Reset ~at:(Plan.Nth k));
+                  (match Sentry.lock sentry with
+                  | (_ : Encrypt_on_lock.stats) ->
+                      Alcotest.failf "lock survived injected reset at %s #%d" point k
+                  | exception Injector.Injected _ -> ());
+                  Injector.disarm ();
+                  Machine.reboot machine reboot;
+                  if Sentry.recover sentry = None then
+                    Alcotest.fail "recover must see the interrupted lock";
+                  let where =
+                    Printf.sprintf "%s, %s #%d, %s" (Backend.kind_name backend) point k reboot_name
+                  in
+                  checkb ("device locked: " ^ where) true (Sentry.state sentry = Lock_state.Locked);
+                  checki ("locked-state audit clean: " ^ where) 0
+                    (List.length (Checkers.Locked_state_consistent.audit sentry));
+                  checkb ("no secret in a reflash image: " ^ where) false
+                    (Sentry_attacks.Cold_boot.succeeds machine
+                       Sentry_attacks.Cold_boot.Device_reflash ~secret:Fault_scenario.secret))
+                [ (Machine.Warm, "warm reset"); (Machine.Reflash, "reflash") ])
+            [ 1; 6; 12 ])
+        [ Injector.Points.page_encrypted; Injector.Points.frame_transform ])
+    [ Sentry.Batched; Sentry.Per_page; Sentry.Offload ]
+
 (* ------------------------- canned scenarios ------------------------ *)
 
 let test_canned_plans_survive () =
@@ -567,6 +614,8 @@ let () =
             test_warm_reset_every_page_boundary;
           Alcotest.test_case "mid-batch tail idempotent" `Quick test_mid_batch_tail_idempotent;
           Alcotest.test_case "reset mid frame transform" `Quick test_reset_mid_frame_transform;
+          Alcotest.test_case "crash after the fill was written back" `Slow
+            test_written_back_fill_crash;
           Alcotest.test_case "unlock rollback" `Quick test_unlock_rollback;
           Alcotest.test_case "recovery without journal" `Quick test_recovery_without_journal;
           Alcotest.test_case "journal alloc exhaustion" `Quick

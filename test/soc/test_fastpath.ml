@@ -172,6 +172,57 @@ let test_run_path_allocation_free () =
           taint read_words write_words)
     [ false; true ]
 
+(* [clean_invalidate_run] against [clean_invalidate_range] on twin
+   machines: dirty and clean lines, a flush-masked (locked) way that
+   must be skipped, unaligned and empty ranges, taint on and off. *)
+let test_clean_run_matches_range () =
+  List.iter
+    (fun taint ->
+      let drive ~run =
+        let m = mk () in
+        if taint then Machine.enable_taint m;
+        let l2 = Machine.l2 m in
+        let base = (Machine.dram_region m).Memmap.base in
+        let clean a n =
+          if run then Pl310.clean_invalidate_run l2 a n else Pl310.clean_invalidate_range l2 a n
+        in
+        Machine.with_taint m Taint.Secret_cleartext (fun () ->
+            Machine.write m base (payload 8192 'k'));
+        Pl310.set_lockdown l2 0b1;
+        Pl310.set_flush_mask l2 0b1;
+        Machine.with_taint m Taint.Ciphertext (fun () ->
+            Machine.write m (base + 20_000) (payload 3000 'q'));
+        ignore (Machine.read m (base + 40_000) 700);
+        clean (base + 5) 4000;
+        clean (base + 20_017) 2900;
+        clean (base + 40_000) 0;
+        clean (base + 39_990) 800;
+        clean (base + 4096) 4096;
+        m
+      in
+      let m_run = drive ~run:true in
+      Alcotest.(check bool) "the cleans wrote lines back" true
+        ((Pl310.stats (Machine.l2 m_run)).Pl310.writebacks > 0);
+      assert_identical m_run (drive ~run:false))
+    [ false; true ]
+
+let test_clean_run_allocation_free () =
+  let m = mk () in
+  Machine.enable_taint m;
+  let l2 = Machine.l2 m in
+  let base = (Machine.dram_region m).Memmap.base in
+  let buf = Bytes.make 4096 'c' in
+  Pl310.write_run_from l2 base buf ~off:0 ~len:4096;
+  Pl310.clean_invalidate_run l2 base 4096;
+  let mw0 = Gc.minor_words () in
+  for i = 1 to 64 do
+    Pl310.write_run_from l2 (base + (i * 4096)) buf ~off:0 ~len:4096;
+    Pl310.clean_invalidate_run l2 (base + (i * 4096)) 4096
+  done;
+  let words = Gc.minor_words () -. mw0 in
+  if words > 0.0 then
+    Alcotest.failf "write + clean of 64 pages allocated %.0f minor words" words
+
 (* ------------------------- remanence draw ------------------------ *)
 
 (* The per-byte decay loop [Dram.power_cycle] ran before the bulk
@@ -244,6 +295,8 @@ let () =
           Alcotest.test_case "into = allocating (taint off)" `Quick test_differential_plain;
           Alcotest.test_case "into = allocating (taint on)" `Quick test_differential_tainted;
         ] );
+      ( "maintenance",
+        [ Alcotest.test_case "clean run = clean range" `Quick test_clean_run_matches_range ] );
       ( "aliasing",
         [
           Alcotest.test_case "write-back snapshots" `Quick test_writeback_no_alias;
@@ -254,6 +307,7 @@ let () =
           Alcotest.test_case "warm path ceiling" `Quick test_warm_path_allocation_ceiling;
           Alcotest.test_case "power cycle ceiling" `Quick test_power_cycle_allocation_ceiling;
           Alcotest.test_case "run path allocation free" `Quick test_run_path_allocation_free;
+          Alcotest.test_case "clean run allocation free" `Quick test_clean_run_allocation_free;
         ] );
       ( "remanence",
         [ Alcotest.test_case "power cycle = per-byte flip" `Quick test_power_cycle_matches_reference ] );
