@@ -71,8 +71,9 @@ let trace_frame t name ~pid ~vpn ~frame =
    offload engine: cached run-path read into the reused staging
    buffer, counter, mid-call fault hook, IV into the reused IV
    buffer, the fused cipher kernel in place, then the taint-labelled
-   write-back — for an encrypt, cleaned out to DRAM.  Passing through the cipher relabels the bytes:
-   [Ciphertext] on the way in, [Secret_cleartext] on the way out.
+   write-back (for an encrypt, cleaned out to DRAM).  Passing through
+   the cipher relabels the bytes: [Ciphertext] on the way in,
+   [Secret_cleartext] on the way out.
    With [~offload] the cipher runs host-side only and the page is a
    command on the [Offload_engine] queue, which accounts its
    simulated time and energy; the bytes are the same. *)

@@ -383,6 +383,13 @@ let write t ?taint addr b = write_from t ?taint addr b ~off:0 ~len:(Bytes.length
 let run_fast_ok t =
   (not (Sentry_obs.Trace.on ())) && t.on_writeback = None && not (Bus.monitored (Dram.bus t.dram))
 
+(* Unchecked line/shadow access for the run paths: set and way
+   indices there are masked or register-bounded.  Monomorphic, so the
+   accesses compile without the generic-array float check. *)
+let[@inline] uline (lines : line array array) w set = Array.unsafe_get (Array.unsafe_get lines w) set
+
+let[@inline] ushadow (s : Bytes.t array array) w set = Array.unsafe_get (Array.unsafe_get s w) set
+
 (* Victim write-back on the run fast path: [write_back] with the hook
    known absent and tracing known off, against the hoisted DRAM
    backing store [raw] (based at [dbase]) and its shadow. *)
@@ -393,8 +400,7 @@ let run_write_back t raw dbase dshadow l w set =
   | Some ds -> (
       match t.shadows with
       | Some s ->
-          Bytes.unsafe_blit (Array.unsafe_get (Array.unsafe_get s w) set) 0 ds (wb_addr - dbase)
-            t.line_size
+          Bytes.unsafe_blit (ushadow s w set) 0 ds (wb_addr - dbase) t.line_size
       | None -> Taint.fill ds (wb_addr - dbase) t.line_size Taint.Public)
   | None -> ());
   Bus.account (Dram.bus t.dram) Bus.Write t.line_size;
@@ -446,18 +452,18 @@ let run_chunks t ~any_unlocked ~write ~taint buf buf_off0 addr0 len0 =
     let set = (a lsr set_shift) land set_mask in
     let tag = a lsr tag_shift in
     let m = Array.unsafe_get last_way set in
-    let lm = Array.unsafe_get (Array.unsafe_get lines m) set in
+    let lm = uline lines m set in
     let w = if lm.valid && lm.tag = tag then m else scan_ways t set tag 0 in
     if w >= 0 then begin
       (* hit: [charge_hit] + [store_chunk] *)
       stats.hits <- stats.hits + 1;
       Clock.advance clock Calib.l2_hit_line_ns;
       Energy.meter_charge_bytes meter ~per_byte_j:Calib.onsoc_byte_j line_size;
-      let l = Array.unsafe_get (Array.unsafe_get lines w) set in
+      let l = uline lines w set in
       if write then begin
         Bytes.unsafe_blit buf bo l.data off_in_line chunk;
         (match shadows with
-        | Some s -> Taint.fill (Array.unsafe_get (Array.unsafe_get s w) set) off_in_line chunk taint
+        | Some s -> Taint.fill (ushadow s w set) off_in_line chunk taint
         | None -> ());
         l.dirty <- true
       end
@@ -501,7 +507,7 @@ let run_chunks t ~any_unlocked ~write ~taint buf buf_off0 addr0 len0 =
           validate_run t addr0 len0;
           validated := true
         end;
-        let l = Array.unsafe_get (Array.unsafe_get lines w) set in
+        let l = uline lines w set in
         if l.valid && l.dirty then run_write_back t raw dbase dshadow l w set;
         (* line fill: identical to [fill_way]'s read + shadow + flags *)
         let base = a land lnot line_mask in
@@ -509,7 +515,7 @@ let run_chunks t ~any_unlocked ~write ~taint buf buf_off0 addr0 len0 =
         Bus.account bus Bus.Read line_size;
         (match shadows with
         | Some s -> (
-            let sh = Array.unsafe_get (Array.unsafe_get s w) set in
+            let sh = ushadow s w set in
             match dshadow with
             | Some ds -> Bytes.unsafe_blit ds (base - dbase) sh 0 line_size
             | None -> Taint.fill sh 0 line_size Taint.Public)
@@ -523,7 +529,7 @@ let run_chunks t ~any_unlocked ~write ~taint buf buf_off0 addr0 len0 =
         if write then begin
           Bytes.unsafe_blit buf bo l.data off_in_line chunk;
           (match shadows with
-          | Some s -> Taint.fill (Array.unsafe_get (Array.unsafe_get s w) set) off_in_line chunk taint
+          | Some s -> Taint.fill (ushadow s w set) off_in_line chunk taint
           | None -> ());
           l.dirty <- true
         end

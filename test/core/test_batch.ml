@@ -431,8 +431,9 @@ let oracle_fault_handler sentry : Vm.fault_handler =
 
 (* Twin systems lock and unlock alike; then every lazy fault runs
    through [Page_crypt.decrypt_frame] on one and through the oracle on
-   the other.  DRAM, taint shadow, L2 and bus statistics, clock,
-   energy and PTEs must match bit for bit, taint on and off.  (The
+   the other.  After a masked flush, DRAM, taint shadow, L2 and bus
+   statistics, clock, energy and PTEs must match bit for bit, taint on
+   and off.  (The
    oracle does not bump [Page_crypt]'s byte counters, so those are
    left out.) *)
 let test_fault_path_differential () =
@@ -447,6 +448,9 @@ let test_fault_path_differential () =
         | Error _ -> Alcotest.fail "unlock failed");
         if oracle then Vm.set_fault_handler system.System.vm (oracle_fault_handler sentry);
         touch_all system procs;
+        (* the decrypted pages sit in dirty L2 lines: write them, and
+           their line shadows, back so DRAM holds what the faults did *)
+        Pl310.flush_masked (Machine.l2 (System.machine system));
         (fingerprint system sentry procs, Bus.stats (Machine.bus (System.machine system)))
       in
       let fp_new, bus_new = twin ~oracle:false and fp_old, bus_old = twin ~oracle:true in

@@ -314,7 +314,12 @@ let test_bulk_into_out_of_place_decrypt () =
   Aes_on_soc.bulk_into a ~dir:`Decrypt ~iv ~src ~src_off:0 ~dst ~dst_off:50 ~len:4096;
   check_bytes "cleartext at the dst view" data (Bytes.sub dst 50 4096);
   check_bytes "src untouched" ct src;
-  check_bytes "dst prefix untouched" (Bytes.make 50 '\xee') (Bytes.sub dst 0 50)
+  check_bytes "dst prefix untouched" (Bytes.make 50 '\xee') (Bytes.sub dst 0 50);
+  (* one buffer, overlapping views at different offsets *)
+  let buf = Bytes.make 4160 '\x00' in
+  Bytes.blit ct 0 buf 0 4096;
+  Aes_on_soc.bulk_into a ~dir:`Decrypt ~iv ~src:buf ~src_off:0 ~dst:buf ~dst_off:48 ~len:4096;
+  check_bytes "cleartext at the shifted view" data (Bytes.sub buf 48 4096)
 
 (* Hard gate: the page decrypt kernel allocates nothing. *)
 let test_cbc_decrypt_into_allocation_free () =

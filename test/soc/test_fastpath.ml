@@ -198,6 +198,9 @@ let test_clean_run_matches_range () =
         clean (base + 40_000) 0;
         clean (base + 39_990) 800;
         clean (base + 4096) 4096;
+        (* read everything back: a line the clean left valid would hit
+           where a dropped one misses *)
+        ignore (Machine.read m base 45_000);
         m
       in
       let m_run = drive ~run:true in
