@@ -25,13 +25,15 @@ let sub_word w =
 
 let rot_word w = ((w lsl 8) lor (w lsr 24)) land 0xffffffff
 
-(* InvMixColumns of one column word (row 0 in the top byte). *)
+(* InvMixColumns of one column word (row 0 in the top byte), through
+   the decryption tables: [td_sbox_words (sbox b)] is the
+   InvMixColumns column of byte [b] in row 0, its rotations rows 1-3. *)
 let inv_mix_column w =
-  let b i = (w lsr (24 - (8 * i))) land 0xff in
-  let row c0 c1 c2 c3 =
-    Gf256.mul c0 (b 0) lxor Gf256.mul c1 (b 1) lxor Gf256.mul c2 (b 2) lxor Gf256.mul c3 (b 3)
-  in
-  (row 14 11 13 9 lsl 24) lor (row 9 14 11 13 lsl 16) lor (row 13 9 14 11 lsl 8) lor row 11 13 9 14
+  let s i = Aes_tables.sbox.((w lsr i) land 0xff) in
+  Aes_tables.td_sbox_words.(s 24)
+  lxor Aes_tables.td_sbox_words_r8.(s 16)
+  lxor Aes_tables.td_sbox_words_r16.(s 8)
+  lxor Aes_tables.td_sbox_words_r24.(s 0)
 
 (* The decryption schedule of the equivalent inverse cipher (FIPS-197
    §5.3.5): round keys in reverse order, with InvMixColumns applied to
