@@ -4,7 +4,9 @@
     serving through the installed protection backend, and an optional
     chaos-soak mode
     that injects lock-walk crashes mid-traffic and recovers without
-    stopping arrivals.  See DESIGN.md §14. *)
+    stopping arrivals.  Every run goes through the fleet's shard
+    driver ({!Sentry_workloads.Shard}); [run] without [~domains] is the
+    one-shard plan on one domain.  See DESIGN.md §14. *)
 
 open Sentry_core
 
@@ -27,7 +29,8 @@ type config = {
     2 simulated seconds, queue depth 64, batches of 8, no soak. *)
 val default : config
 
-type dist = {
+(** Per-class latency summary: the fleet's {!Sentry_workloads.Fleet.latency}. *)
+type dist = Sentry_workloads.Fleet.latency = {
   count : int;
   mean_ns : float;
   p50_ns : float;
@@ -74,41 +77,38 @@ val record_into : Sentry_obs.Metrics.t -> stats -> unit
     once per merged registry, never per shard. *)
 val set_shed_rate : Sentry_obs.Metrics.t -> ts:float -> float -> unit
 
-type shard = {
-  shard_index : int;
-  first_tenant : int;
-  tenants : int;
-  pid_base : int;  (** first_tenant + 1 — sharded pids equal serial pids *)
-  shard_seed : int;
-  shard_stats : stats;
-  shard_metrics : Sentry_obs.Metrics.t;
-}
-
-type sharded = {
+(** {!Sentry_workloads.Shard.t}, with its fields reachable through
+    [Server]. *)
+type ('a, 'm) sharding = ('a, 'm) Sentry_workloads.Shard.t = {
   domains : int;
-  shard_count : int;
-  wall_s : float;  (** host time over the whole parallel section *)
-  shards : shard list;  (** in shard-index order *)
-  merged : stats;
+  wall_s : float;
+  shards : 'a Sentry_workloads.Shard.shard list;
+  merged : 'm;
   merged_metrics : Sentry_obs.Metrics.t;
+  merged_recorder : Sentry_obs.Trace.Recorder.t option;
+  faults_fired : int;
 }
 
-(** Default shard count for a pool: [min tenants 16]. *)
-val default_shards : tenants:int -> int
+(** A sharded run: per-shard slice stats, merged by summing counts,
+    concatenating samples in shard order and taking the slowest
+    shard's simulated time.  [merged_metrics] also carries the
+    shed-rate gauge over the merged counts. *)
+type sharded = (stats, stats) sharding
 
-(** [run_sharded ~domains cfg] — partition the tenant pool with
-    {!Sentry_workloads.Fleet.shard_plan}, serve every shard's filtered
-    sub-stream of the (identically regenerated) global schedule on a
-    [domains]-wide [Dpool], and fold results in shard-index order.
-    Merged outputs are invariant in [domains]; only [wall_s] changes.
+(** [run_sharded ~domains cfg] — serve [?shards] shards (default
+    {!Sentry_workloads.Shard.default_count}) through
+    {!Sentry_workloads.Shard.run} on a [domains]-wide pool, each shard
+    the sub-stream of the (identically regenerated) global schedule
+    for its own tenants.  Merged outputs are invariant in [domains];
+    only [wall_s] changes.
     @raise Invalid_argument on an invalid config or non-positive
     [domains]/[shards]. *)
 val run_sharded : ?platform:Config.platform -> ?shards:int -> domains:int -> config -> sharded
 
-(** [run cfg] — serve the whole schedule serially; with [~domains:d],
-    delegate to {!run_sharded} (sharded semantics even at [d = 1])
-    and return the merged stats.  With [?metrics], samples, counters
-    and the shed-rate gauge land in the registry.
+(** [run cfg] is [run_sharded ~shards:1 ~domains:1 cfg]; with
+    [~domains:d], [run_sharded ~domains:d cfg].  Returns the merged
+    stats.  With [?metrics], samples, counters and the shed-rate gauge
+    land in the registry.
     @raise Invalid_argument on an invalid config. *)
 val run :
   ?platform:Config.platform -> ?metrics:Sentry_obs.Metrics.t -> ?domains:int -> config -> stats

@@ -5,13 +5,13 @@
     per-tenant-class unlock-to-first-touch latency distributions the
     SLO gate watches.
 
-    [run_sharded] splits the tenants into contiguous shards, each
-    owning a private [System], trace recorder, metrics registry,
-    fault-injector session, PRNG seed and pid range, and runs them on
-    a {!Sentry_util.Dpool} of OCaml 5 domains.  The partition and all
-    per-shard inputs depend only on [(procs, shards)] — never on the
-    domain count — so merged outputs are bit-identical across [D].
-    See DESIGN.md §13. *)
+    Every run goes through the {!Shard} driver: [run_sharded] splits
+    the tenants into contiguous shards, each owning a private
+    [System], PRNG seed and pid range plus the registry, recorder and
+    fault session {!Shard.run} gives it, and runs them on a pool of
+    OCaml 5 domains.  Merged outputs are bit-identical across the
+    domain count; [run] without [~domains] is the one-shard plan on
+    one domain.  See DESIGN.md §13. *)
 
 open Sentry_core
 
@@ -39,9 +39,7 @@ val backend_label : Sentry.backend -> string
 val tenant_class : index:int -> string
 
 (** Main-region pages for the tenant at [index] when a medium tenant
-    gets [pages_per_proc] (large 2×, small half, floor 1).  Exposed so
-    other harnesses (the serve front end) can reproduce the exact
-    fleet footprint mix. *)
+    gets [pages_per_proc] (large 2×, small half, floor 1). *)
 val main_pages_for : index:int -> pages_per_proc:int -> int
 
 (** DMA-region pages for the tenant at [index]: a quarter of
@@ -57,6 +55,10 @@ type latency = {
   max_ns : float;
 }
 
+(** [(tenant_class, latency)] per class, sorted by class name, from
+    [(tenant_class, ns)] samples. *)
+val summarize_by_class : (string * float) list -> (string * latency) list
+
 type stats = {
   config : config;
   fleet_pages : int;  (** resident pages across the fleet (incl. DMA) *)
@@ -66,12 +68,10 @@ type stats = {
   service_wakes_run : int;
   io_sectors_done : int;  (** dm-crypt sectors written + read *)
   lock_wall_s : float;
-      (** host time inside the lock passes; in a {!sharded} merge,
-          host time over the whole parallel section *)
-  unlock_wall_s : float;  (** host time inside the unlock passes (summed) *)
-  lock_pages_per_s : float;
-      (** pages_locked / lock_wall_s (host) — in a merge this is the
-          fleet-level wall-clock throughput [D] domains delivered *)
+      (** host time inside the lock passes, summed over shards (the
+          whole parallel section is the shard driver's [wall_s]) *)
+  unlock_wall_s : float;  (** host time inside the unlock passes, summed over shards *)
+  lock_pages_per_s : float;  (** pages_locked / lock_wall_s (host) *)
   unlock_to_first_touch_ns : float;
       (** simulated ns from unlock start to a tenant's first page
           being readable, averaged over every tenant and cycle *)
@@ -90,7 +90,7 @@ type stats = {
     ESSIV IV stream over every (pid, vpn) page, and the page-table
     entries.  Pids feed the IVs, so these digests catch any drift in
     pid assignment or page-table outcome between execution
-    strategies — the differential D=1 vs D=4 test compares them. *)
+    strategies — the D=1 vs D=4 differential compares them. *)
 type fingerprint = {
   tenant_index : int;  (** global spawn index *)
   tenant_pid : int;
@@ -100,62 +100,36 @@ type fingerprint = {
 }
 
 (** Feed first-touch samples into a registry as the labeled histogram
-    [workloads.fleet/unlock_to_first_touch_ns{backend=…,tenant_class=…}].
-    Exposed so per-shard registries can be built from raw samples and
-    [Metrics.merge]d. *)
+    [workloads.fleet/unlock_to_first_touch_ns{backend=…,tenant_class=…}]. *)
 val record_latencies :
   Sentry_obs.Metrics.t -> backend:Sentry.backend -> (string * float) list -> unit
 
-(** One shard's results: the slice stats plus everything the shard
-    owned privately (registry, recorder, fault tally, identifying
-    inputs). *)
-type shard = {
-  shard_index : int;
-  first_tenant : int;  (** global index of the shard's first tenant *)
-  tenants : int;
-  pid_base : int;  (** [first_tenant + 1] — sharded pids equal serial pids *)
-  shard_seed : int;
-  shard_stats : stats;
-  shard_fingerprints : fingerprint list;
-  shard_metrics : Sentry_obs.Metrics.t;
-  shard_recorder : Sentry_obs.Trace.Recorder.t option;
-      (** present iff the calling domain had a recorder installed *)
-  shard_faults_fired : int;
-}
+(** [spawn_slice system sentry ~prefix ~pages_per_proc ~first ~count]
+    spawns tenants [first .. first+count-1] with the class mix above,
+    named [prefix] followed by the three-digit global index, fills
+    every region with a pattern built from the name, and marks them
+    sensitive.  Returns [(process, main region, tenant class)] in
+    spawn order. *)
+val spawn_slice :
+  System.t ->
+  Sentry.t ->
+  prefix:string ->
+  pages_per_proc:int ->
+  first:int ->
+  count:int ->
+  (Sentry_kernel.Process.t * Sentry_kernel.Address_space.region * string) list
 
-type sharded = {
-  domains : int;  (** pool size the run executed on *)
-  shard_count : int;
-  wall_s : float;  (** host time over the whole parallel section *)
-  shards : shard list;  (** in shard-index order *)
-  merged : stats;  (** deterministic fold over shard stats *)
-  merged_metrics : Sentry_obs.Metrics.t;  (** [Metrics.merge] fold, shard order *)
-  merged_recorder : Sentry_obs.Trace.Recorder.t option;
-      (** [Trace.Recorder.merge] fold, shard order; [None] unless the
-          calling domain had a recorder installed at launch *)
-  fingerprints : fingerprint list;  (** concatenated in tenant order *)
-  faults_fired : int;  (** summed over shards *)
-}
+(** A sharded run: per shard, the slice stats and its tenants'
+    fingerprints; [merged] folds the shard stats (sums, the slowest
+    shard's simulated time, samples concatenated in shard order). *)
+type sharded = (stats * fingerprint list, stats) Shard.t
 
-(** Default shard count for [procs] tenants: [min procs 16]. *)
-val default_shards : procs:int -> int
-
-(** [(first_tenant, tenants)] per shard: contiguous blocks of
-    ⌈procs/shards⌉.  Pure in [(procs, shards)]; [shards] is clamped to
-    [procs].  The executing domain count never enters. *)
-val shard_plan : procs:int -> shards:int -> (int * int) list
-
-(** [run_sharded ~domains cfg] partitions the fleet with
-    {!shard_plan}, runs every shard as an independent slice on a
-    [domains]-wide {!Sentry_util.Dpool} (each worker installs its
-    shard's recorder and fault session in its own domain-local ambient
-    slots), and folds the per-shard results through the deterministic
-    merges in shard-index order.  [?faults] arms a per-shard copy of
-    the plan (seed offset by shard index) in each worker; interrupting
-    fault kinds propagate out of [run_sharded] like they would out of
-    [run].  With [?shards] the shard count overrides
-    {!default_shards}.  Merged outputs are invariant in [domains];
-    only [wall_s] (and the merged wall-clock throughput) changes.
+(** [run_sharded ~domains cfg] runs the fleet through {!Shard.run}:
+    [?shards] shards (default {!Shard.default_count}) of one
+    [run_slice] each, on a [domains]-wide pool.  [?faults] arms a
+    per-shard copy of the plan (seed offset by shard index);
+    interrupting fault kinds propagate out of [run_sharded].  Merged
+    outputs are invariant in [domains]; only the host walls change.
     @raise Invalid_argument on invalid [cfg], [domains <= 0] or
     [shards <= 0]. *)
 val run_sharded :
@@ -167,20 +141,22 @@ val run_sharded :
   config ->
   sharded
 
-(** [run cfg] boots a fresh system, spawns the fleet (heterogeneous
-    tenant classes, large tenants carry a DMA region), and drives
-    [cfg.cycles] rounds of suspend → service wakes (dm-crypt I/O) →
-    unlock → per-tenant first-touch sampling → touch churn.  Simulated
-    outputs are backend-independent across the crypto backends; host
-    wall-clock is what [cfg.backend] changes.  With [?metrics], first-touch samples are
-    recorded via {!record_latencies}; with a trace recorder installed,
-    each cycle is wrapped in a ["fleet-cycle"] span.
+(** Per-tenant fingerprints of a sharded run, in tenant order. *)
+val fingerprints : sharded -> fingerprint list
 
-    Without [?domains] this is the serial legacy path, bit-identical
-    to the pre-sharding workload.  With [~domains:d] it delegates to
-    {!run_sharded} and returns the merged stats — sharded semantics
-    even at [d = 1], so a [~domains:1] run is bit-comparable to a
-    [~domains:4] one.
+(** [run cfg] boots a fresh system per shard, spawns the fleet
+    (heterogeneous tenant classes, large tenants carry a DMA region),
+    and drives [cfg.cycles] rounds of suspend → service wakes
+    (dm-crypt I/O) → unlock → per-tenant first-touch sampling → touch
+    churn, returning the merged stats.  Simulated outputs are
+    backend-independent across the crypto backends; host wall-clock
+    is what [cfg.backend] changes.  With [?metrics], first-touch
+    samples are recorded via {!record_latencies}.
+
+    Without [?domains] this is [run_sharded ~shards:1 ~domains:1]; with
+    [~domains:d] it is [run_sharded ~domains:d] with the default shard
+    count.  Trace events go to the shards' recorders; use
+    {!run_sharded} to get them merged.
     @raise Invalid_argument on non-positive [procs], [pages_per_proc]
     or [cycles]. *)
 val run :
