@@ -31,9 +31,6 @@ type resumed = Resumed_lock | Rolled_back_unlock
     [No_access] diverges by design. *)
 type backend = Backend.kind = Batched | Per_page | Offload | No_access
 
-type pipeline = backend
-(** Historical alias from when only [Batched]/[Per_page] existed. *)
-
 type recovery_stats = {
   resumed : resumed;
   pages_fixed : int;  (** pages (re-)transformed by the recovery sweep *)
@@ -195,9 +192,6 @@ let set_backend t b =
            (Lock_state.state_name (Lock_state.state t.lock_state)));
     t.backend <- Backend.of_kind b
   end
-
-let pipeline = backend
-let set_pipeline = set_backend
 
 (* Backend-dispatched walk drivers. *)
 let lock_walk t =
