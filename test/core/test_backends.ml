@@ -87,8 +87,9 @@ let touch_all (system : System.t) procs =
         (Address_space.regions proc.Process.aspace))
     procs
 
-(* Semantic fingerprint: DRAM contents, taint shadows, PTE protection
-   state (including the no-access bit) and crypt counters.  Clock and
+(* Semantic fingerprint: CPU-visible memory contents and taint shadows
+   ([Cpu_view]), PTE protection state (including the no-access bit)
+   and crypt counters.  Clock and
    energy are deliberately excluded — the offload engine's cost model
    differs by design. *)
 type fp = {
@@ -100,9 +101,10 @@ type fp = {
 
 let fingerprint (system : System.t) sentry procs =
   let m = System.machine system in
+  let dram, shadow = Cpu_view.digests m in
   {
-    dram = Digest.bytes (Dram.raw (Machine.dram m));
-    shadow = Option.map Digest.bytes (Dram.shadow (Machine.dram m));
+    dram;
+    shadow;
     ptes =
       List.concat_map
         (fun (proc : Process.t) ->
@@ -137,22 +139,30 @@ let equivalence_cycle layout other =
   let lbl = Backend.kind_name other in
   let sys_b, sen_b, procs_b = build ~layout ~backend:Sentry.Batched () in
   let sys_o, sen_o, procs_o = build ~layout ~backend:other () in
+  let check_stage stage =
+    let label = Printf.sprintf "%s %s" lbl stage in
+    check_fp label (fingerprint sys_b sen_b procs_b) (fingerprint sys_o sen_o procs_o);
+    List.iter
+      (fun (system, procs) ->
+        Alcotest.(check (list (pair int int)))
+          (label ^ ": CPU-visible page labels match PTEs")
+          []
+          (Cpu_view.mislabelled_pages (System.machine system) procs))
+      [ (sys_b, procs_b); (sys_o, procs_o) ]
+  in
   let ls_b = Sentry.lock sen_b and ls_o = Sentry.lock sen_o in
   checki (lbl ^ ": pages encrypted") ls_b.Encrypt_on_lock.pages_encrypted
     ls_o.Encrypt_on_lock.pages_encrypted;
-  check_fp (lbl ^ " locked") (fingerprint sys_b sen_b procs_b)
-    (fingerprint sys_o sen_o procs_o);
+  check_stage "locked";
   (match (Sentry.unlock sen_b ~pin:"1234", Sentry.unlock sen_o ~pin:"1234") with
   | Ok us_b, Ok us_o ->
       checki (lbl ^ ": eager DMA pages") us_b.Decrypt_on_unlock.dma_pages_eager
         us_o.Decrypt_on_unlock.dma_pages_eager
   | _ -> Alcotest.fail "unlock failed");
-  check_fp (lbl ^ " unlocked") (fingerprint sys_b sen_b procs_b)
-    (fingerprint sys_o sen_o procs_o);
+  check_stage "unlocked";
   touch_all sys_b procs_b;
   touch_all sys_o procs_o;
-  check_fp (lbl ^ " after faults") (fingerprint sys_b sen_b procs_b)
-    (fingerprint sys_o sen_o procs_o)
+  check_stage "after faults"
 
 let test_crypto_backends_fig2 () =
   List.iter (equivalence_cycle `Fig2) [ Sentry.Per_page; Sentry.Offload ]
